@@ -18,22 +18,18 @@ from .measures import (
 from .models import REGISTRY, DiffusionModel, get_model, info_integrand, path_information
 from .quasi_score import (
     TriKMatrix,
+    aug_summaries,
     augmented_block_cov,
+    info_terms,
     interior_block_cov,
-    quadratic_form,
-    quasi_loglik,
-    score_and_info,
-    obs_score_and_info,
+    obs_summaries,
+    quadratic_forms,
+    score_terms,
     solve_tridiagonal,
-    xi,
-    xi_dtheta,
-    xi_obs,
 )
 from .simulate import (
-    Block,
-    BlockSet,
     PathGrid,
-    augment,
+    block_edges,
     gaussian_coupled_increments,
     observe,
     simulate_path,

@@ -27,12 +27,13 @@ from .experiments import (
     ExperimentConfig,
     default_verify_configs,
     merge_reports,
+    report_to_files,
     resolve_k,
     run_experiment,
 )
 from .measures import measure_from_spec, measure_to_spec, v_coefficients
 from .models import get_model
-from .simulate import Block, BlockSet, augment, observe, path_to_csv, simulate_path
+from .simulate import block_edges, observe, path_to_csv, simulate_path
 
 
 def _parse_measure(value) -> dict:
@@ -155,14 +156,13 @@ def cmd_simulate(args) -> int:
         return 0
     k = resolve_k(_opt(args, file_cfg, "k", "log2"), n)
     resolved["k"] = k
-    blocks = augment(path, obs, k)
+    edges = block_edges(n, k)
+    edge_values = path.values[edges * m]
     lines = ["j,xbar,l,anchor"]
-    j = 0
-    for l, block in enumerate(blocks.blocks):
-        for x in block.means:
-            lines.append(f"{j},{_fmt(x)},{l},{_fmt(block.anchor)}")
-            j += 1
-    lines.append(f"{n},,{len(blocks.blocks)},{_fmt(blocks.blocks[-1].terminal)}")
+    for l in range(edges.size - 1):
+        for j in range(edges[l], edges[l + 1]):
+            lines.append(f"{j},{_fmt(obs[j])},{l},{_fmt(edge_values[l])}")
+    lines.append(f"{n},,{edges.size - 1},{_fmt(edge_values[-1])}")
     _write_sidecar(out, resolved)
     _write_text(out, "\n".join(lines) + "\n")
     return 0
@@ -172,15 +172,23 @@ def _write_sidecar(out: str, resolved: dict) -> None:
     # The data CSV format is pinned, so the config echo lives next to the
     # file; nothing is written when streaming to stdout.
     if out != "-":
-        with open(out + ".meta.json", "w") as f:
-            json.dump(resolved, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_text(out + ".meta.json", json.dumps(resolved, indent=2, sort_keys=True,
+                                                   allow_nan=False) + "\n")
+
+
+def _finite(text: str, row: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value in observation row {row!r}")
+    return x
 
 
 def _read_observation_csv(text: str):
-    """Parse a simulate CSV; returns ("means", obs) or ("augmented", groups, terminal).
+    """Parse a simulate CSV; returns ("means", obs) or ("augmented", obs, edge_values, k).
 
-    groups is a list of (anchor, [means]); raises ValueError on any malformed row.
+    edge_values are the block anchors followed by the terminal value; every
+    block but the last holds k means and the last 1..k.  Raises ValueError
+    on any malformed row, non-finite value or ragged block.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -192,7 +200,7 @@ def _read_observation_csv(text: str):
             parts = ln.split(",")
             if len(parts) != 2 or int(parts[0]) != i:
                 raise ValueError(f"malformed observation row {ln!r}")
-            obs.append(float(parts[1]))
+            obs.append(_finite(parts[1], ln))
         if not obs:
             raise ValueError("observation CSV holds no rows")
         return "means", np.asarray(obs)
@@ -205,9 +213,10 @@ def _read_observation_csv(text: str):
             if len(parts) != 4:
                 raise ValueError(f"malformed observation row {ln!r}")
             if parts[1] == "":
-                terminal = float(parts[3])
+                terminal = _finite(parts[3], ln)
                 continue
-            j, x, l, anchor = int(parts[0]), float(parts[1]), int(parts[2]), float(parts[3])
+            j, l = int(parts[0]), int(parts[2])
+            x, anchor = _finite(parts[1], ln), _finite(parts[3], ln)
             if j != count:
                 raise ValueError(f"non-consecutive observation index at row {ln!r}")
             count += 1
@@ -218,26 +227,15 @@ def _read_observation_csv(text: str):
             groups[-1][1].append(x)
         if terminal is None or not groups:
             raise ValueError("augmented CSV lacks the terminal row")
-        return "augmented", groups, terminal
+        sizes = [len(means) for _, means in groups]
+        k = sizes[0]
+        if any(size != k for size in sizes[:-1]) or sizes[-1] > k:
+            raise ValueError(f"ragged augmented blocks of sizes {sizes}: every block but "
+                             f"the last must hold k={k} means and the last 1..{k}")
+        obs = np.array([x for _, means in groups for x in means])
+        edge_values = np.array([anchor for anchor, _ in groups] + [terminal])
+        return "augmented", obs, edge_values, k
     raise ValueError(f"unrecognized observation CSV header {header!r}")
-
-
-def _blockset_from_groups(groups, terminal: float) -> BlockSet:
-    n = sum(len(means) for _, means in groups)
-    k = len(groups[0][1])
-    root_n = math.sqrt(n)
-    blocks = []
-    for idx, (anchor, means) in enumerate(groups):
-        means = np.asarray(means, dtype=float)
-        term = groups[idx + 1][0] if idx + 1 < len(groups) else terminal
-        inc = np.empty(means.size + 1)
-        inc[0] = means[0] - anchor
-        inc[1 : means.size] = np.diff(means)
-        inc[means.size] = term - means[-1]
-        blocks.append(Block(anchor=float(anchor), means=means, terminal=float(term),
-                            increments=root_n * inc))
-    L = n // k
-    return BlockSet(n=n, k=k, L=L, blocks=tuple(blocks), last_block_len=n - L * k)
 
 
 def cmd_estimate(args) -> int:
@@ -254,16 +252,12 @@ def cmd_estimate(args) -> int:
     text = sys.stdin.read() if source == "-" else open(source).read()
     parsed = _read_observation_csv(text)
     if parsed[0] == "augmented":
-        _, groups, terminal = parsed
-        blocks = _blockset_from_groups(groups, terminal)
-        result = estimate_augmented(blocks, model, coeffs, theta_init)
-        mode, n, k = "augmented", blocks.n, blocks.k
+        mode, obs, edge_values, k = parsed
+        result = estimate_augmented(obs, edge_values, model, coeffs, k, theta_init)
     else:
-        _, obs = parsed
-        n = obs.size
-        k = resolve_k(_opt(args, file_cfg, "k", "log2"), n)
+        mode, obs = "means_only", parsed[1]
+        k = resolve_k(_opt(args, file_cfg, "k", "log2"), obs.size)
         result = estimate_means_only(obs, xi0, model, coeffs, k, theta_init)
-        mode = "means_only"
     payload = {
         "theta_hat": result.theta_hat,
         "score_at_hat": result.score_at_hat,
@@ -274,12 +268,12 @@ def cmd_estimate(args) -> int:
             "mode": mode,
             "model": model.name,
             "measure": measure_to_spec(measure),
-            "n": int(n),
+            "n": int(obs.size),
             "k": int(k),
             "xi0": xi0,
         },
     }
-    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 
@@ -295,10 +289,12 @@ def cmd_verify(args) -> int:
     workers = os.cpu_count() or 1 if workers is None else max(1, int(workers))
     out = _opt(args, file_cfg, "out", "report")
 
-    override_keys = ("model", "measure", "theta0", "h", "n", "k", "M", "seed", "m", "xi0")
+    # Any of these fields replaces the default suite by bare per-experiment
+    # configs; the seed alone reseeds the default suite.
+    override_keys = ("model", "measure", "theta0", "h", "n", "k", "M", "m", "xi0")
     overrides = {key: _opt(args, file_cfg, key) for key in override_keys}
     has_overrides = any(v is not None for v in overrides.values())
-    seed = int(overrides["seed"]) if overrides["seed"] is not None else int(file_cfg.get("seed", DEFAULT_SEED))
+    seed = int(_opt(args, file_cfg, "seed", DEFAULT_SEED))
 
     if has_overrides:
         names = [e for e in selected if e != "all"] or sorted(EXPERIMENTS)
@@ -336,11 +332,7 @@ def cmd_verify(args) -> int:
     report = merge_reports(reports)
     csv_path = out if out.endswith(".csv") else out + ".csv"
     json_path = (out[:-4] if out.endswith(".csv") else out) + ".json"
-    with open(csv_path, "w") as f:
-        f.write(report.to_csv_text())
-    with open(json_path, "w") as f:
-        json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    report_to_files(report, csv_path, json_path)
     n_fail = sum(not r.passed for r in report.rows)
     print(f"{len(report.rows)} statistics checked, {n_fail} failed -> {csv_path}")
     return 0 if n_fail == 0 else 1

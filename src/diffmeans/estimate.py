@@ -16,8 +16,7 @@ import numpy as np
 
 from .measures import VCoefficients
 from .models import DiffusionModel
-from .quasi_score import block_summaries, obs_block_summaries
-from .simulate import BlockSet
+from .quasi_score import aug_summaries, info_terms, obs_summaries, score_terms
 
 __all__ = ["EstimateResult", "estimate_augmented", "estimate_means_only"]
 
@@ -45,18 +44,16 @@ class _QuasiObjective:
         self.n = n
 
     def score(self, theta: float) -> float:
-        r = self.model.rel_sensitivity(self.anchors, theta)
-        a2 = self.model.a(self.anchors, theta) ** 2
-        return float(np.sum(r * (self.qforms / a2 - self.sizes)))
+        return float(np.sum(score_terms(theta, theta, self.model, self.anchors, self.sizes,
+                                        self.qforms)))
 
     def slope(self, theta: float) -> float:
         # Derivative of the quadratic-form part only; the recentering part
         # has zero mean at the optimum, so this is the scoring slope.
-        r = self.model.rel_sensitivity(self.anchors, theta)
-        a2 = self.model.a(self.anchors, theta) ** 2
-        return float(-np.sum(2.0 * r * r * self.qforms / a2))
+        return float(-np.sum(info_terms(theta, theta, self.model, self.anchors, self.qforms)))
 
     def loglik(self, theta: float) -> float:
+        """Gaussian quasi-log-likelihood, additive constants dropped."""
         a2 = self.model.a(self.anchors, theta) ** 2
         return float(-0.5 * np.sum(self.sizes * np.log(a2) + self.qforms / a2))
 
@@ -108,27 +105,32 @@ def _solve(objective: _QuasiObjective, interval, theta_init: float,
     return EstimateResult(float(theta), iterations, float(s), objective.observed_info(theta), False)
 
 
-def estimate_augmented(blocks: BlockSet, model: DiffusionModel, coeffs: VCoefficients,
-                       theta_init: float | None = None) -> EstimateResult:
-    """Quasi-likelihood estimate from an augmented block set."""
-    anchors, sizes, qforms = block_summaries(blocks, coeffs)
-    objective = _QuasiObjective(model, anchors, sizes, qforms, blocks.n)
+def _estimate(model: DiffusionModel, summaries, n: int, theta_init) -> EstimateResult:
+    anchors, sizes, qforms = summaries
+    objective = _QuasiObjective(model, anchors[0], sizes, qforms[0], n)
     interval = model.theta_interval
     if theta_init is None:
         theta_init = 0.5 * (interval[0] + interval[1])
     model.check_theta(theta_init)
     return _solve(objective, interval, theta_init)
+
+
+def estimate_augmented(observations, edge_values, model: DiffusionModel,
+                       coeffs: VCoefficients, k: int,
+                       theta_init: float | None = None) -> EstimateResult:
+    """Quasi-likelihood estimate from the n means and the block edge values.
+
+    ``edge_values`` holds the path at each block start followed by X_1
+    (see simulate.block_edges).
+    """
+    obs = np.asarray(observations, dtype=float)[None, :]
+    edge_values = np.asarray(edge_values, dtype=float)[None, :]
+    return _estimate(model, aug_summaries(obs, edge_values, k, coeffs), obs.shape[1], theta_init)
 
 
 def estimate_means_only(observations, xi0: float, model: DiffusionModel,
                         coeffs: VCoefficients, k: int,
                         theta_init: float | None = None) -> EstimateResult:
     """Quasi-likelihood estimate from local means alone (anchors unobserved)."""
-    obs = np.asarray(observations, dtype=float)
-    anchors, sizes, qforms = obs_block_summaries(obs, xi0, k, coeffs)
-    objective = _QuasiObjective(model, anchors, sizes, qforms, obs.size)
-    interval = model.theta_interval
-    if theta_init is None:
-        theta_init = 0.5 * (interval[0] + interval[1])
-    model.check_theta(theta_init)
-    return _solve(objective, interval, theta_init)
+    obs = np.asarray(observations, dtype=float)[None, :]
+    return _estimate(model, obs_summaries(obs, xi0, k, coeffs), obs.shape[1], theta_init)

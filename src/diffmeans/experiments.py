@@ -29,14 +29,8 @@ from .estimate import _QuasiObjective, _solve
 from .exact_oracle import build_base_cov
 from .measures import measure_from_spec, v_coefficients
 from .models import get_model, info_integrand
-from .quasi_score import (
-    augmented_block_cov,
-    info_terms,
-    interior_block_cov,
-    quadratic_forms,
-    score_terms,
-)
-from .simulate import block_bounds, coupled_increments_values, observe_values, rep_rng, simulate_values
+from .quasi_score import aug_summaries, info_terms, obs_summaries, score_terms
+from .simulate import block_edges, coupled_increments_values, observe_values, rep_rng, simulate_values
 
 __all__ = [
     "ExperimentConfig",
@@ -212,63 +206,7 @@ def _gather(results: list[dict], key: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vectorized block summaries (one row per replication)
-
-
-def _aug_summaries_batch(values, obs, n, m, k, coeffs):
-    """Anchors, sizes, quadratic forms of the augmented blocks, batched over paths."""
-    R = obs.shape[0]
-    L, tail, _ = block_bounds(n, k)
-    root_n = math.sqrt(n)
-    anchor_vals = values[:, np.arange(L + 1) * k * m]
-    means = obs[:, : L * k].reshape(R, L, k)
-    U = np.empty((R, L, k + 1))
-    U[:, :, 0] = means[:, :, 0] - anchor_vals[:, :L]
-    if k > 1:
-        U[:, :, 1:k] = np.diff(means, axis=2)
-    U[:, :, k] = anchor_vals[:, 1:] - means[:, :, -1]
-    U *= root_n
-    q = quadratic_forms(augmented_block_cov(k, coeffs), U.reshape(R * L, k + 1)).reshape(R, L)
-    anchors = anchor_vals[:, :L]
-    sizes = np.full(L, k + 1)
-    if tail >= 1:
-        means_t = obs[:, L * k :]
-        U_t = np.empty((R, tail + 1))
-        U_t[:, 0] = means_t[:, 0] - anchor_vals[:, L]
-        if tail > 1:
-            U_t[:, 1:tail] = np.diff(means_t, axis=1)
-        U_t[:, tail] = values[:, n * m] - means_t[:, -1]
-        U_t *= root_n
-        q_t = quadratic_forms(augmented_block_cov(tail, coeffs), U_t)
-        anchors = np.hstack([anchors, anchor_vals[:, L:]])
-        sizes = np.append(sizes, tail + 1)
-        q = np.hstack([q, q_t[:, None]])
-    return anchors, sizes, q
-
-
-def _obs_summaries_batch(obs, xi0, n, k, coeffs):
-    """Anchors, sizes, quadratic forms of the means-only blocks, batched."""
-    R = obs.shape[0]
-    L, tail, _ = block_bounds(n, k)
-    root_n = math.sqrt(n)
-    if k < 2:
-        raise ValueError("means-only score needs k >= 2")
-    means = obs[:, : L * k].reshape(R, L, k)
-    U = root_n * np.diff(means, axis=2)
-    q = quadratic_forms(interior_block_cov(k, coeffs), U.reshape(R * L, k - 1)).reshape(R, L)
-    anchors = np.empty((R, L))
-    anchors[:, 0] = xi0
-    if L > 1:
-        anchors[:, 1:] = obs[:, np.arange(1, L) * k - 1]
-    sizes = np.full(L, k - 1)
-    if tail >= 2:
-        means_t = obs[:, L * k :]
-        U_t = root_n * np.diff(means_t, axis=1)
-        q_t = quadratic_forms(interior_block_cov(tail, coeffs), U_t)
-        anchors = np.hstack([anchors, obs[:, L * k - 1 : L * k]])
-        sizes = np.append(sizes, tail - 1)
-        q = np.hstack([q, q_t[:, None]])
-    return anchors, sizes, q
+# batched statistics (one row per replication)
 
 
 def _score_info_arrays(anchors, sizes, q, theta0, model, n):
@@ -294,7 +232,7 @@ def _expansion_chunk(args):
     values, _ = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
                                 stream=stream, rep_offset=r0)
     obs = observe_values(values, measure, n, m)
-    anchors, sizes, q = _obs_summaries_batch(obs, xi0, n, k, coeffs)
+    anchors, sizes, q = obs_summaries(obs, xi0, k, coeffs)
     N, I = _score_info_arrays(anchors, sizes, q, theta0, model, n)
     pinfo = _path_information_batch(values, model, theta0, n, m)
     return {"obs": obs, "N": N, "I": I, "pinfo": pinfo}
@@ -308,7 +246,7 @@ def _information_chunk(args):
     values, _ = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
                                 stream=stream, rep_offset=r0)
     obs = observe_values(values, measure, n, m)
-    anchors, sizes, q = _aug_summaries_batch(values, obs, n, m, k, coeffs)
+    anchors, sizes, q = aug_summaries(obs, values[:, block_edges(n, k) * m], k, coeffs)
     N, I = _score_info_arrays(anchors, sizes, q, theta0, model, n)
     pinfo = _path_information_batch(values, model, theta0, n, m)
     return {"N": N, "I": I, "pinfo": pinfo}
@@ -372,10 +310,10 @@ def _estimator_chunk(args):
     out = {}
     theta_init = 0.5 * (model.theta_interval[0] + model.theta_interval[1])
     if "augmented" in estimators:
-        anchors, sizes, q = _aug_summaries_batch(values, obs, n, m, k, coeffs)
+        anchors, sizes, q = aug_summaries(obs, values[:, block_edges(n, k) * m], k, coeffs)
         out["theta_aug"], out["info_aug"] = _solve_rows(model, anchors, sizes, q, n, theta_init)
     if "means_only" in estimators:
-        anchors, sizes, q = _obs_summaries_batch(obs, xi0, n, k, coeffs)
+        anchors, sizes, q = obs_summaries(obs, xi0, k, coeffs)
         out["theta_obs"], out["info_obs"] = _solve_rows(model, anchors, sizes, q, n, theta_init)
     if "exact_mle" in estimators:
         out["obs"] = obs
@@ -530,8 +468,7 @@ def run_information(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport
         N = _gather(results, "N")
         I = _gather(results, "I")
         info_budget = float(np.mean(_gather(results, "pinfo")))
-        factor = 1.0 if cfg.k_rule == "log2" else (k + 1) / k
-        target = factor * info_budget
+        target = (k + 1) / k * info_budget
         mean_I, se_I = _mean_se(I)
         var_N, se_vN = _var_se(N)
         rows.add(n, k, M, "mean_info_stat", mean_I, se_I, target, 0.10 * target)
@@ -736,8 +673,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
 
 
 def report_to_files(report: ExperimentReport, csv_path, json_path) -> None:
+    """Write the report CSV and JSON; raises ValueError, writing nothing, on a non-finite value."""
+    json_text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
     with open(csv_path, "w") as f:
         f.write(report.to_csv_text())
     with open(json_path, "w") as f:
-        json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json_text + "\n")

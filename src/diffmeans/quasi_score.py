@@ -11,17 +11,20 @@ form; summing it over blocks gives the statistics N_n (score) and I_n
 The means-only variants drop the anchor increments: the interior (k-1)
 increments have covariance a^2 K_int with constant diagonal v1+v2, and the
 anchor value is replaced by the last mean of the previous block.
+
+Data enter only as block summaries (anchors R x B, sizes B, qforms R x B):
+one row per path, one column per block.  A single path is the case R = 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import VCoefficients
-from .models import DiffusionModel
-from .simulate import BlockSet, block_bounds
+from .simulate import block_edges
 
 __all__ = [
     "TriKMatrix",
@@ -29,18 +32,12 @@ __all__ = [
     "interior_block_cov",
     "factor_tridiagonal",
     "solve_tridiagonal",
-    "quadratic_form",
     "quadratic_forms",
-    "xi",
+    "aug_increments",
+    "aug_summaries",
+    "obs_summaries",
     "score_terms",
     "info_terms",
-    "xi_dtheta",
-    "score_and_info",
-    "xi_obs",
-    "obs_score_and_info",
-    "quasi_loglik",
-    "block_summaries",
-    "obs_block_summaries",
 ]
 
 
@@ -118,7 +115,7 @@ def solve_tridiagonal(K: TriKMatrix, rhs) -> np.ndarray:
 
 
 def quadratic_forms(K: TriKMatrix, U: np.ndarray) -> np.ndarray:
-    """u K^{-1} u^T for each row of U, via one factorization."""
+    """u K^{-1} u^T for each row of U (a float for one vector), via one factorization."""
     U = np.asarray(U, dtype=float)
     squeeze = U.ndim == 1
     if squeeze:
@@ -133,131 +130,99 @@ def quadratic_forms(K: TriKMatrix, U: np.ndarray) -> np.ndarray:
     return float(q[0]) if squeeze else q
 
 
-def quadratic_form(K: TriKMatrix, u) -> float:
-    """u^T K^{-1} u; nonnegative for positive definite K."""
-    return quadratic_forms(K, np.asarray(u, dtype=float))
+def aug_increments(obs, edge_values, k: int):
+    """sqrt(n)-rescaled increments of the augmented blocks, one row per path.
 
-
-def xi(U, anchor: float, theta: float, theta0: float, model: DiffusionModel,
-       coeffs: VCoefficients) -> float:
-    """Per-block quasi-score term: recentered Gaussian quadratic form.
-
-    (a_dot/a)(anchor, theta0) * { a(anchor, theta)^{-2} u K^{-1} u - (k+1) }
-    where k+1 = len(U).
+    ``obs`` holds the n means of each path (R x n) and ``edge_values`` the
+    path at each block start followed by X_1 (R x (B+1), see block_edges).
+    Returns (U, U_tail): U is R x L x (k+1) for the L full blocks,
+    (first mean - anchor, successive mean differences, next anchor - last
+    mean); U_tail is R x (tail+1) for the final partial block, or None when
+    k divides n.
     """
-    U = np.asarray(U, dtype=float)
-    q = quadratic_form(augmented_block_cov(U.size - 1, coeffs), U)
-    r0 = model.rel_sensitivity(anchor, theta0)
-    a = model.a(anchor, theta)
-    return float(r0 * (q / (a * a) - U.size))
+    R, n = obs.shape
+    edges = block_edges(n, k)
+    if edge_values.shape != (R, edges.size):
+        raise ValueError(f"edge values of shape {edge_values.shape}, expected {(R, edges.size)}")
+    L, tail = divmod(n, k)
+    root_n = math.sqrt(n)
+    means = obs[:, : L * k].reshape(R, L, k)
+    U = np.empty((R, L, k + 1))
+    U[:, :, 0] = means[:, :, 0] - edge_values[:, :L]
+    if k > 1:
+        U[:, :, 1:k] = np.diff(means, axis=2)
+    U[:, :, k] = edge_values[:, 1 : L + 1] - means[:, :, -1]
+    U *= root_n
+    if tail == 0:
+        return U, None
+    means_t = obs[:, L * k :]
+    U_t = np.empty((R, tail + 1))
+    U_t[:, 0] = means_t[:, 0] - edge_values[:, L]
+    if tail > 1:
+        U_t[:, 1:tail] = np.diff(means_t, axis=1)
+    U_t[:, tail] = edge_values[:, -1] - means_t[:, -1]
+    U_t *= root_n
+    return U, U_t
 
 
-def xi_dtheta(U, anchor: float, theta: float, theta0: float, model: DiffusionModel,
-              coeffs: VCoefficients) -> float:
-    """Derivative of xi in theta (the variance argument only carries theta)."""
-    U = np.asarray(U, dtype=float)
-    q = quadratic_form(augmented_block_cov(U.size - 1, coeffs), U)
-    r0 = model.rel_sensitivity(anchor, theta0)
-    a = model.a(anchor, theta)
-    return float(r0 * (-2.0 * model.a_dot(anchor, theta) / a**3) * q)
-
-
-def block_summaries(blocks: BlockSet, coeffs: VCoefficients):
-    """(anchors, sizes, qforms) per non-empty block.
+def aug_summaries(obs, edge_values, k: int, coeffs: VCoefficients):
+    """(anchors, sizes, qforms) of the augmented blocks, batched over paths.
 
     sizes are the increment counts k_l + 1; the final partial block gets the
     covariance of its own smaller size.
     """
-    anchors = np.array([b.anchor for b in blocks.blocks])
-    sizes = np.array([b.increments.size for b in blocks.blocks])
-    qforms = np.empty(len(blocks.blocks))
-    for size in np.unique(sizes):
-        idx = np.nonzero(sizes == size)[0]
-        U = np.stack([blocks.blocks[i].increments for i in idx])
-        qforms[idx] = quadratic_forms(augmented_block_cov(size - 1, coeffs), U)
-    return anchors, sizes, qforms
+    U, U_t = aug_increments(obs, edge_values, k)
+    R, L = U.shape[:2]
+    q = quadratic_forms(augmented_block_cov(k, coeffs), U.reshape(R * L, k + 1)).reshape(R, L)
+    anchors = edge_values[:, :L]
+    sizes = np.full(L, k + 1)
+    if U_t is not None:
+        q_t = quadratic_forms(augmented_block_cov(U_t.shape[1] - 1, coeffs), U_t)
+        anchors = np.hstack([anchors, edge_values[:, L : L + 1]])
+        sizes = np.append(sizes, U_t.shape[1])
+        q = np.hstack([q, q_t[:, None]])
+    return anchors, sizes, q
+
+
+def obs_summaries(obs, xi0: float, k: int, coeffs: VCoefficients):
+    """(anchors, sizes, qforms) of the means-only blocks, batched over paths.
+
+    anchors are the preceding means (xi0 for the first block), sizes the
+    interior increment counts k_l - 1; a final block of one mean carries no
+    interior increment and is dropped.
+    """
+    R, n = obs.shape
+    if not 2 <= k <= n:
+        raise ValueError(f"means-only score needs 2 <= k <= n={n}, got k={k}")
+    L, tail = divmod(n, k)
+    root_n = math.sqrt(n)
+    means = obs[:, : L * k].reshape(R, L, k)
+    U = root_n * np.diff(means, axis=2)
+    q = quadratic_forms(interior_block_cov(k, coeffs), U.reshape(R * L, k - 1)).reshape(R, L)
+    anchors = np.empty((R, L))
+    anchors[:, 0] = xi0
+    if L > 1:
+        anchors[:, 1:] = obs[:, np.arange(1, L) * k - 1]
+    sizes = np.full(L, k - 1)
+    if tail >= 2:
+        means_t = obs[:, L * k :]
+        U_t = root_n * np.diff(means_t, axis=1)
+        q_t = quadratic_forms(interior_block_cov(tail, coeffs), U_t)
+        anchors = np.hstack([anchors, obs[:, L * k - 1 : L * k]])
+        sizes = np.append(sizes, tail - 1)
+        q = np.hstack([q, q_t[:, None]])
+    return anchors, sizes, q
 
 
 def score_terms(theta, theta0, model, anchors, sizes, qforms):
+    """Per-block quasi-score (a_dot/a)(theta0) {q / a^2(theta) - size}."""
     r0 = model.rel_sensitivity(anchors, theta0)
     a = model.a(anchors, theta)
     return r0 * (qforms / (a * a) - sizes)
 
 
 def info_terms(theta, theta0, model, anchors, qforms):
-    # minus the xi derivative: 2 (a_dot/a)(theta0) (a_dot/a)(theta) q / a^2(theta)
+    """Minus the theta-derivative of score_terms: 2 (a_dot/a)(theta0) (a_dot/a)(theta) q / a^2."""
     r0 = model.rel_sensitivity(anchors, theta0)
     a = model.a(anchors, theta)
     return 2.0 * r0 * (model.a_dot(anchors, theta) / a) * qforms / (a * a)
-
-
-def score_and_info(blocks: BlockSet, theta0: float, model: DiffusionModel,
-                   coeffs: VCoefficients) -> tuple[float, float]:
-    """Aggregate statistics (N, I): N = sum xi / sqrt(n), I = -sum xi' / n."""
-    anchors, sizes, qforms = block_summaries(blocks, coeffs)
-    n = blocks.n
-    N = float(np.sum(score_terms(theta0, theta0, model, anchors, sizes, qforms)) / np.sqrt(n))
-    I = float(np.sum(info_terms(theta0, theta0, model, anchors, qforms)) / n)
-    return N, I
-
-
-def xi_obs(U_interior, anchor_obs: float, theta: float, theta0: float,
-           model: DiffusionModel, coeffs: VCoefficients) -> float:
-    """Means-only quasi-score term from the k-1 interior increments.
-
-    The anchor is the last mean of the previous block (the known initial
-    value for the first block); recentering is by k-1.
-    """
-    U = np.asarray(U_interior, dtype=float)
-    if U.size < 1:
-        raise ValueError("means-only score needs k >= 2 (at least one interior increment)")
-    q = quadratic_form(interior_block_cov(U.size + 1, coeffs), U)
-    r0 = model.rel_sensitivity(anchor_obs, theta0)
-    a = model.a(anchor_obs, theta)
-    return float(r0 * (q / (a * a) - U.size))
-
-
-def obs_block_summaries(observations, xi0: float, k: int, coeffs: VCoefficients):
-    """(anchors, sizes, qforms) of the means-only blocks.
-
-    anchors are the preceding means (xi0 for the first block), sizes the
-    interior increment counts k_l - 1; blocks with fewer than 2 means carry
-    no interior increment and are dropped.
-    """
-    obs = np.asarray(observations, dtype=float)
-    n = obs.size
-    if k < 2:
-        raise ValueError("means-only score needs k >= 2")
-    _, _, bounds = block_bounds(n, k)
-    root_n = np.sqrt(n)
-    anchors, sizes, qforms = [], [], []
-    for start, length in bounds:
-        if length < 2:
-            continue
-        anchors.append(xi0 if start == 0 else obs[start - 1])
-        U = root_n * np.diff(obs[start : start + length])
-        sizes.append(U.size)
-        qforms.append(quadratic_form(interior_block_cov(length, coeffs), U))
-    return np.array(anchors), np.array(sizes), np.array(qforms)
-
-
-def obs_score_and_info(observations, xi0: float, k: int, theta0: float,
-                       model: DiffusionModel, coeffs: VCoefficients) -> tuple[float, float]:
-    """Means-only aggregate statistics (N, I) built from observations alone."""
-    anchors, sizes, qforms = obs_block_summaries(observations, xi0, k, coeffs)
-    n = np.asarray(observations).size
-    N = float(np.sum(score_terms(theta0, theta0, model, anchors, sizes, qforms)) / np.sqrt(n))
-    I = float(np.sum(info_terms(theta0, theta0, model, anchors, qforms)) / n)
-    return N, I
-
-
-def quasi_loglik(blocks: BlockSet, theta: float, model: DiffusionModel,
-                 coeffs: VCoefficients) -> float:
-    """Gaussian quasi-log-likelihood of a block set, additive constants dropped.
-
-    Its theta-derivative is the sum of the per-block xi terms with the
-    sensitivity prefactor evaluated at theta.
-    """
-    anchors, sizes, qforms = block_summaries(blocks, coeffs)
-    a2 = model.a(anchors, theta) ** 2
-    return float(-0.5 * np.sum(sizes * np.log(a2) + qforms / a2))

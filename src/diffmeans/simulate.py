@@ -1,4 +1,4 @@
-"""Euler path simulation, local-mean observations, and augmented blocks.
+"""Euler path simulation, local-mean observations, and block edges.
 
 Paths live on a fine grid with m substeps per sampling cell (step
 1/(n*m)) and retain their driving Brownian increments so that the
@@ -20,16 +20,13 @@ from .models import DiffusionModel
 
 __all__ = [
     "PathGrid",
-    "Block",
-    "BlockSet",
     "rep_rng",
     "euler_values",
     "simulate_path",
     "simulate_values",
     "observe",
     "observe_values",
-    "augment",
-    "block_bounds",
+    "block_edges",
     "gaussian_coupled_increments",
     "coupled_increments_values",
     "path_to_csv",
@@ -61,32 +58,6 @@ class PathGrid:
             raise ValueError("values length must be n*m + 1")
         if self.dW.shape != (self.n * self.m,):
             raise ValueError("dW length must be n*m")
-
-
-@dataclass(frozen=True)
-class Block:
-    """One augmented-observation block: anchor, local means, terminal value.
-
-    ``increments`` holds the sqrt(n)-rescaled differences
-    (first mean - anchor, successive mean differences, terminal - last mean),
-    k+1 entries for a block of k means.
-    """
-
-    anchor: float
-    means: np.ndarray
-    terminal: float
-    increments: np.ndarray
-
-
-@dataclass(frozen=True)
-class BlockSet:
-    """An augmented observation split into blocks of k means plus anchors."""
-
-    n: int
-    k: int
-    L: int
-    blocks: tuple[Block, ...]
-    last_block_len: int
 
 
 def euler_values(model: DiffusionModel, theta: float, xi0: float, h: float, dW: np.ndarray) -> np.ndarray:
@@ -177,41 +148,16 @@ def observe(path: PathGrid, measure: WeightMeasure) -> np.ndarray:
     return observe_values(path.values, measure, path.n, path.m)
 
 
-def block_bounds(n: int, k: int):
-    """(L, tail, bounds): bounds are (start, length) of the non-empty blocks."""
+def block_edges(n: int, k: int) -> np.ndarray:
+    """Cells where the blocks of k means start, then n: (0, k, 2k, ..., n).
+
+    A final partial block holds the n - k*floor(n/k) leftover means when k
+    does not divide n.  The path values at these cells are the block
+    anchors followed by the terminal value X_1.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"block length k={k} outside [1, n={n}]")
-    L = n // k
-    bounds = [(l * k, k) for l in range(L)]
-    tail = n - L * k
-    if tail > 0:
-        bounds.append((L * k, tail))
-    return L, tail, bounds
-
-
-def augment(path: PathGrid, observations, k: int) -> BlockSet:
-    """Split observations into blocks of k means with exact anchors off the grid.
-
-    The final block holds the n - k*floor(n/k) leftover means (empty, and
-    omitted, when k divides n).
-    """
-    obs = np.asarray(observations, dtype=float)
-    n, m = path.n, path.m
-    if obs.shape != (n,):
-        raise ValueError("observations must hold one mean per cell")
-    L, tail, bounds = block_bounds(n, k)
-    root_n = np.sqrt(n)
-    blocks = []
-    for start, length in bounds:
-        anchor = float(path.values[start * m])
-        terminal = float(path.values[(start + length) * m])
-        means = obs[start : start + length]
-        inc = np.empty(length + 1)
-        inc[0] = means[0] - anchor
-        inc[1:length] = np.diff(means)
-        inc[length] = terminal - means[-1]
-        blocks.append(Block(anchor=anchor, means=means, terminal=terminal, increments=root_n * inc))
-    return BlockSet(n=n, k=k, L=L, blocks=tuple(blocks), last_block_len=tail)
+    return np.append(np.arange(0, n, k), n)
 
 
 def coupling_weights(measure: WeightMeasure, m: int):
@@ -256,12 +202,12 @@ def coupled_increments_values(values, dW, n: int, m: int, k: int, start: int,
 def gaussian_coupled_increments(path: PathGrid, model: DiffusionModel, k: int, block_index: int,
                                 measure: WeightMeasure, theta: float) -> np.ndarray:
     """Gaussian coupling of the rescaled increments of one block of a path."""
-    _, _, bounds = block_bounds(path.n, k)
-    if not 0 <= block_index < len(bounds):
+    edges = block_edges(path.n, k)
+    if not 0 <= block_index < edges.size - 1:
         raise ValueError(f"block index {block_index} out of range")
-    start, length = bounds[block_index]
+    start, stop = int(edges[block_index]), int(edges[block_index + 1])
     return coupled_increments_values(
-        path.values, path.dW, path.n, path.m, length, start, measure, model, theta
+        path.values, path.dW, path.n, path.m, stop - start, start, measure, model, theta
     )
 
 

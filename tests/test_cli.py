@@ -2,6 +2,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from diffmeans.cli import main
 from diffmeans.measures import WeightMeasure
@@ -128,6 +129,28 @@ class TestEstimateCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,row", [
+        ("j,xbar\n0,nan\n1,0.1\n2,0.2\n3,0.1\n", "0,nan"),
+        ("j,xbar\n0,0.0\n1,inf\n2,0.2\n3,0.1\n", "1,inf"),
+        ("j,xbar,l,anchor\n0,0.1,0,0.0\n1,0.2,0,0.0\n2,0.1,1,-inf\n3,,2,0.0\n", "2,0.1,1,-inf"),
+        ("j,xbar,l,anchor\n0,0.1,0,0.0\n1,0.2,0,0.0\n2,,1,nan\n", "2,,1,nan"),
+    ])
+    def test_non_finite_value_exits_2_without_output(self, text, row, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(["estimate", "--k", "fixed:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert row in captured.err
+
+    def test_ragged_augmented_blocks_exit_2(self, tmp_path):
+        # Blocks of 2 and then 3 means: not a block split of any single k.
+        bad = tmp_path / "ragged.csv"
+        bad.write_text("j,xbar,l,anchor\n0,0.1,0,0.0\n1,0.2,0,0.0\n2,0.3,1,0.25\n"
+                       "3,0.2,1,0.25\n4,0.1,1,0.25\n5,,2,0.1\n")
+        out = tmp_path / "est.json"
+        assert run_cli(["estimate", "--in", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_wrong_header_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,value\n0,1.0\n")
@@ -155,6 +178,14 @@ class TestVerifyCommand:
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["all_pass"] is True
         assert data["seed"] == 7
+
+    def test_seed_alone_reseeds_default_suite(self, tmp_path):
+        code = run_cli(["verify", "--experiment", "chi2", "--seed", "11", "--workers", "1",
+                        "--out", str(tmp_path / "r")])
+        assert code in (0, 1)
+        run = json.loads((tmp_path / "r.json").read_text())["config"]["runs"][0]
+        assert run["seed"] == 11
+        assert run["replications"] == 100_000  # the default suite's chi2 run
 
     def test_unknown_experiment_exits_2(self, tmp_path):
         assert run_cli(["verify", "--experiment", "warp", "--out", str(tmp_path / "r")]) == 2

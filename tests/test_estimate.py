@@ -5,20 +5,8 @@ from diffmeans.estimate import estimate_augmented, estimate_means_only
 from diffmeans.exact_oracle import build_base_cov
 from diffmeans.measures import WeightMeasure, v_coefficients
 from diffmeans.models import get_model
-from diffmeans.quasi_score import augmented_block_cov, interior_block_cov, quadratic_form
-from diffmeans.simulate import (
-    PathGrid,
-    augment,
-    observe,
-    observe_values,
-    simulate_path,
-    simulate_values,
-)
-
-
-def scaled_path(path: PathGrid, lam: float) -> PathGrid:
-    return PathGrid(n=path.n, m=path.m, values=path.values * lam, dW=path.dW,
-                    theta_true=path.theta_true, seed=path.seed)
+from diffmeans.quasi_score import augmented_block_cov, interior_block_cov, quadratic_forms
+from diffmeans.simulate import block_edges, observe, observe_values, simulate_path, simulate_values
 
 MULT = get_model("multiplicative_bm")
 SINE = get_model("sine_scale")
@@ -26,12 +14,22 @@ LEB = WeightMeasure.lebesgue()
 V_LEB = v_coefficients(LEB)
 
 
-def closed_form_augmented(blocks):
-    q = sum(
-        quadratic_form(augmented_block_cov(b.increments.size - 1, V_LEB), b.increments)
-        for b in blocks.blocks
-    )
-    return np.sqrt(q / sum(b.increments.size for b in blocks.blocks))
+def augmented_data(path, k):
+    """(means, block edge values) of one path."""
+    return observe(path, LEB), path.values[block_edges(path.n, k) * path.m]
+
+
+def closed_form_augmented(obs, edge_values, k):
+    n = obs.size
+    edges = block_edges(n, k)
+    q, dof = 0.0, 0
+    for l in range(edges.size - 1):
+        means = obs[edges[l] : edges[l + 1]]
+        u = np.sqrt(n) * np.concatenate([[means[0] - edge_values[l]], np.diff(means),
+                                         [edge_values[l + 1] - means[-1]]])
+        q += quadratic_forms(augmented_block_cov(means.size, V_LEB), u)
+        dof += u.size
+    return np.sqrt(q / dof)
 
 
 def closed_form_means_only(obs, xi0, k):
@@ -43,7 +41,7 @@ def closed_form_means_only(obs, xi0, k):
         if length < 2:
             continue
         u = root_n * np.diff(obs[start : start + length])
-        q += quadratic_form(interior_block_cov(length, V_LEB), u)
+        q += quadratic_forms(interior_block_cov(length, V_LEB), u)
         dof += length - 1
     return np.sqrt(q / dof)
 
@@ -51,55 +49,50 @@ def closed_form_means_only(obs, xi0, k):
 class TestAugmentedEstimator:
     def test_matches_closed_form(self):
         path = simulate_path(MULT, 1.4, 0.0, n=128, m=16, seed=2)
-        blocks = augment(path, observe(path, LEB), 10)
-        res = estimate_augmented(blocks, MULT, V_LEB)
+        obs, edge_values = augmented_data(path, 10)
+        res = estimate_augmented(obs, edge_values, MULT, V_LEB, 10)
         assert not res.boundary_hit
         assert abs(res.score_at_hat) <= 1e-8
-        assert res.theta_hat == pytest.approx(closed_form_augmented(blocks), abs=1e-8)
+        assert res.theta_hat == pytest.approx(closed_form_augmented(obs, edge_values, 10),
+                                              abs=1e-8)
         assert res.info_at_hat > 0
 
     def test_idempotent_restart(self):
         path = simulate_path(SINE, 1.1, 0.2, n=64, m=16, seed=3)
-        blocks = augment(path, observe(path, LEB), 8)
-        first = estimate_augmented(blocks, SINE, V_LEB)
-        again = estimate_augmented(blocks, SINE, V_LEB, theta_init=first.theta_hat)
+        obs, edge_values = augmented_data(path, 8)
+        first = estimate_augmented(obs, edge_values, SINE, V_LEB, 8)
+        again = estimate_augmented(obs, edge_values, SINE, V_LEB, 8, theta_init=first.theta_hat)
         assert again.theta_hat == pytest.approx(first.theta_hat, abs=1e-10)
 
     def test_scaling_equivariance(self):
         path = simulate_path(MULT, 1.0, 0.0, n=64, m=16, seed=5)
-        obs = observe(path, LEB)
-        blocks = augment(path, obs, 8)
+        obs, edge_values = augmented_data(path, 8)
         lam = 1.6
-        scaled = augment(scaled_path(path, lam), obs * lam, 8)
-        assert closed_form_augmented(scaled) == pytest.approx(
-            lam * closed_form_augmented(blocks), rel=1e-12
+        assert closed_form_augmented(obs * lam, edge_values * lam, 8) == pytest.approx(
+            lam * closed_form_augmented(obs, edge_values, 8), rel=1e-12
         )
-        res = estimate_augmented(scaled, MULT, V_LEB)
-        base = estimate_augmented(blocks, MULT, V_LEB)
+        res = estimate_augmented(obs * lam, edge_values * lam, MULT, V_LEB, 8)
+        base = estimate_augmented(obs, edge_values, MULT, V_LEB, 8)
         assert res.theta_hat == pytest.approx(lam * base.theta_hat, abs=1e-7)
 
     def test_consistency_small_bias(self):
         n, m, k, reps = 1024, 8, 10, 60
-        values, dW = simulate_values(MULT, 1.5, 0.0, n, m, seed=6, reps=reps)
+        values, _ = simulate_values(MULT, 1.5, 0.0, n, m, seed=6, reps=reps)
         obs = observe_values(values, LEB, n, m)
-        hats = []
-        for r in range(reps):
-            path = PathGrid(n=n, m=m, values=values[r], dW=dW[r], theta_true=1.5, seed=6)
-            hats.append(estimate_augmented(augment(path, obs[r], k), MULT, V_LEB).theta_hat)
+        edge_values = values[:, block_edges(n, k) * m]
+        hats = [estimate_augmented(obs[r], edge_values[r], MULT, V_LEB, k).theta_hat
+                for r in range(reps)]
         assert abs(np.mean(hats) - 1.5) < 0.05
 
     def test_agreement_with_exact_mle(self):
         n, m, k, reps = 1024, 8, 10, 150
-        values, dW = simulate_values(MULT, 1.0, 0.0, n, m, seed=8, reps=reps)
+        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, seed=8, reps=reps)
         obs = observe_values(values, LEB, n, m)
+        edge_values = values[:, block_edges(n, k) * m]
         gm = build_base_cov(n, LEB)
         mle = np.sqrt(gm.quad_forms(obs) / n)
         quasi = np.array([
-            estimate_augmented(
-                augment(PathGrid(n=n, m=m, values=values[r], dW=dW[r], theta_true=1.0, seed=8),
-                        obs[r], k),
-                MULT, V_LEB,
-            ).theta_hat
+            estimate_augmented(obs[r], edge_values[r], MULT, V_LEB, k).theta_hat
             for r in range(reps)
         ])
         gap = np.sqrt(n) * (quasi - mle)
@@ -107,25 +100,23 @@ class TestAugmentedEstimator:
 
     def test_boundary_hit_upper(self):
         path = simulate_path(MULT, 1.0, 0.0, n=64, m=16, seed=9)
-        obs = observe(path, LEB)
-        blocks = augment(scaled_path(path, 10.0), obs * 10.0, 8)
-        res = estimate_augmented(blocks, MULT, V_LEB)
+        obs, edge_values = augmented_data(path, 8)
+        res = estimate_augmented(obs * 10.0, edge_values * 10.0, MULT, V_LEB, 8)
         assert res.boundary_hit
         assert res.theta_hat == MULT.theta_interval[1]
 
     def test_boundary_hit_lower(self):
         path = simulate_path(MULT, 1.0, 0.0, n=64, m=16, seed=9)
-        obs = observe(path, LEB)
-        blocks = augment(scaled_path(path, 0.01), obs * 0.01, 8)
-        res = estimate_augmented(blocks, MULT, V_LEB)
+        obs, edge_values = augmented_data(path, 8)
+        res = estimate_augmented(obs * 0.01, edge_values * 0.01, MULT, V_LEB, 8)
         assert res.boundary_hit
         assert res.theta_hat == MULT.theta_interval[0]
 
     def test_theta_init_outside_interval(self):
         path = simulate_path(MULT, 1.0, 0.0, n=16, m=8, seed=1)
-        blocks = augment(path, observe(path, LEB), 4)
+        obs, edge_values = augmented_data(path, 4)
         with pytest.raises(ValueError):
-            estimate_augmented(blocks, MULT, V_LEB, theta_init=5.0)
+            estimate_augmented(obs, edge_values, MULT, V_LEB, 4, theta_init=5.0)
 
 
 class TestMeansOnlyEstimator:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -16,6 +18,8 @@ from diffmeans.experiments import (
     run_experiment,
     run_information,
 )
+
+PINNED_SMALL_CSV_SHA256 = "21ac73db792cbee98ec0f59f0a13f7c55275d743d297840b228305949d6123d8"
 
 
 class TestConfig:
@@ -78,6 +82,13 @@ class TestReports:
         assert data["config"]["experiment"] == "chi2"
         assert len(data["rows"]) == len(rep.rows)
 
+    def test_non_finite_report_writes_nothing(self, tmp_path):
+        rep = self._small_report()
+        rep.rows[0] = dataclasses.replace(rep.rows[0], value=float("nan"))
+        with pytest.raises(ValueError):
+            report_to_files(rep, tmp_path / "r.csv", tmp_path / "r.json")
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "r.json").exists()
+
     def test_merge(self):
         a, b = self._small_report(), self._small_report()
         merged = merge_reports([a, b])
@@ -95,6 +106,25 @@ class TestReports:
         row = next(r for r in rep.rows if r.stat == "delta_mean")
         assert row.target == 100.0 and not row.passed
         assert not rep.all_pass()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_csv_bytes(self, workers):
+        # Every block-tail path of the summaries: an augmented tail of one
+        # mean (256 = 51*5 + 1), a means-only tail of four (256 = 42*6 + 4),
+        # and tails of two means for both estimators (250 = 31*8 + 2).
+        # The digest pins the bytes at numpy 2.4.6; a refactor of the block
+        # summaries must leave it unchanged.
+        configs = [
+            ExperimentConfig(experiment="information", model="sine_scale", n_list=(256,),
+                             k_rule="fixed:5", replications=40, seed=7),
+            ExperimentConfig(experiment="expansion", model="sine_scale", n_list=(256,),
+                             k_rule="fixed:6", replications=40, seed=7),
+            ExperimentConfig(experiment="estimator", model="cauchy_scale", n_list=(250,),
+                             k_rule="fixed:8", replications=40, seed=7,
+                             estimators=("augmented", "means_only")),
+        ]
+        text = merge_reports([run_experiment(c, workers) for c in configs]).to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SMALL_CSV_SHA256
 
 
 class TestExpansion:
@@ -137,6 +167,14 @@ class TestInformation:
         row = next(r for r in rep.rows if r.stat == "mean_info_stat")
         assert row.target == pytest.approx(4.0)
         assert row.passed
+        # log2 gives k = 8 at n = 256: the finite-k factor 9/8 still applies.
+        cfg = ExperimentConfig(experiment="information", model="sine_scale",
+                               n_list=(256,), k_rule="log2", replications=150, seed=7)
+        rows = {r.stat: r for r in run_information(cfg).rows}
+        for stat in ("mean_info_stat", "var_score_stat"):
+            assert rows[stat].k == 8
+            assert rows[stat].target == pytest.approx(9 / 8 * 2.0)
+        assert rows["mean_info_stat"].passed
 
     def test_atomic_measure_same_limit(self):
         # The block-size factor of the information limit is measure-free;

@@ -3,37 +3,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffmeans.estimate import _QuasiObjective
 from diffmeans.measures import WeightMeasure, v_coefficients
 from diffmeans.models import get_model
 from diffmeans.quasi_score import (
     TriKMatrix,
+    aug_increments,
+    aug_summaries,
     augmented_block_cov,
+    info_terms,
     interior_block_cov,
-    obs_score_and_info,
-    quadratic_form,
+    obs_summaries,
     quadratic_forms,
-    quasi_loglik,
-    score_and_info,
+    score_terms,
     solve_tridiagonal,
-    xi,
-    xi_dtheta,
-    xi_obs,
 )
-from diffmeans.simulate import (
-    Block,
-    BlockSet,
-    PathGrid,
-    augment,
-    observe,
-    observe_values,
-    simulate_path,
-    simulate_values,
-)
+from diffmeans.simulate import block_edges, observe, observe_values, simulate_path, simulate_values
+
+from conftest import weight_measures
 
 MULT = get_model("multiplicative_bm")
 SINE = get_model("sine_scale")
 LEB = WeightMeasure.lebesgue()
 V_LEB = v_coefficients(LEB)
+
+
+def block_terms(u, anchor, theta, theta0, model):
+    """(score term, info term) of one augmented block of rescaled increments u."""
+    u = np.asarray(u, dtype=float)
+    q = np.array([quadratic_forms(augmented_block_cov(u.size - 1, V_LEB), u)])
+    anchors, sizes = np.array([anchor]), np.array([u.size])
+    return (score_terms(theta, theta0, model, anchors, sizes, q)[0],
+            info_terms(theta, theta0, model, anchors, q)[0])
+
+
+def hand_increments(obs, start, stop, anchor, terminal, n):
+    """Rescaled increments of the block of means obs[start:stop], built by hand."""
+    means = obs[start:stop]
+    return np.sqrt(n) * np.concatenate([[means[0] - anchor], np.diff(means),
+                                        [terminal - means[-1]]])
+
+
+def path_summaries(path, measure, k):
+    """(obs, edge_values, summaries) of one path as R = 1 rows."""
+    obs = observe(path, measure)[None, :]
+    edge_values = path.values[block_edges(path.n, k) * path.m][None, :]
+    return obs, edge_values, aug_summaries(obs, edge_values, k, V_LEB)
 
 
 def random_pd_tri(rng, size):
@@ -90,48 +105,48 @@ class TestTridiagonalSolve:
     def test_dimension_mismatch(self):
         K = augmented_block_cov(2, V_LEB)
         with pytest.raises(ValueError):
-            quadratic_form(K, np.ones(2))
+            quadratic_forms(K, np.ones(2))
         with pytest.raises(ValueError):
             solve_tridiagonal(K, np.ones(4))
 
 
 class TestQuadraticForm:
     def test_zero_vector(self):
-        assert quadratic_form(augmented_block_cov(3, V_LEB), np.zeros(4)) == 0.0
+        assert quadratic_forms(augmented_block_cov(3, V_LEB), np.zeros(4)) == 0.0
 
     def test_k1_lebesgue_value(self):
-        assert quadratic_form(augmented_block_cov(1, V_LEB), [1.0, 1.0]) == pytest.approx(4.0)
+        assert quadratic_forms(augmented_block_cov(1, V_LEB), [1.0, 1.0]) == pytest.approx(4.0)
 
     def test_identity_case(self):
         K = TriKMatrix(size=2, diag=np.array([1.0, 1.0]), offdiag=0.0)
         u = np.array([3.0, -2.0])
-        assert quadratic_form(K, u) == pytest.approx(np.sum(u * u))
+        assert quadratic_forms(K, u) == pytest.approx(np.sum(u * u))
 
     def test_positive_for_nonzero(self, rng):
         for _ in range(30):
             K = augmented_block_cov(int(rng.integers(1, 9)), V_LEB)
             u = rng.standard_normal(K.size)
-            assert quadratic_form(K, u) > 0.0
+            assert quadratic_forms(K, u) > 0.0
 
     def test_batch_rows_match_scalar(self, rng):
         K = augmented_block_cov(4, V_LEB)
         U = rng.standard_normal((7, 5))
         batch = quadratic_forms(K, U)
         for r in range(7):
-            assert batch[r] == pytest.approx(quadratic_form(K, U[r]), rel=1e-14)
+            assert batch[r] == pytest.approx(quadratic_forms(K, U[r]), rel=1e-14)
 
 
 class TestXi:
     def test_zero_increments(self):
-        assert xi(np.zeros(3), 0.0, 1.0, 1.0, MULT, V_LEB) == pytest.approx(-3.0)
+        assert block_terms(np.zeros(3), 0.0, 1.0, 1.0, MULT)[0] == pytest.approx(-3.0)
 
     def test_k1_lebesgue(self):
-        assert xi(np.array([1.0, 1.0]), 0.0, 1.0, 1.0, MULT, V_LEB) == pytest.approx(2.0)
+        assert block_terms(np.array([1.0, 1.0]), 0.0, 1.0, 1.0, MULT)[0] == pytest.approx(2.0)
 
     def test_even_in_increments(self, rng):
         u = rng.standard_normal(5)
-        a = xi(u, 0.3, 1.2, 1.1, SINE, V_LEB)
-        b = xi(-u, 0.3, 1.2, 1.1, SINE, V_LEB)
+        a = block_terms(u, 0.3, 1.2, 1.1, SINE)[0]
+        b = block_terms(-u, 0.3, 1.2, 1.1, SINE)[0]
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_mean_zero_at_true_parameter(self):
@@ -139,28 +154,19 @@ class TestXi:
         n, m, k, reps = 50, 16, 5, 400
         values, _ = simulate_values(MULT, 1.0, 0.0, n, m, seed=77, reps=reps)
         obs = observe_values(values, LEB, n, m)
-        total, count = 0.0, 0
-        for r in range(reps):
-            path_vals = values[r]
-            for l in range(n // k):
-                anchor = path_vals[l * k * m]
-                terminal = path_vals[(l + 1) * k * m]
-                means = obs[r, l * k : (l + 1) * k]
-                inc = np.sqrt(n) * np.concatenate(
-                    [[means[0] - anchor], np.diff(means), [terminal - means[-1]]]
-                )
-                total += xi(inc, anchor, 1.0, 1.0, MULT, V_LEB)
-                count += 1
-        se = np.sqrt(2.0 * (k + 1) / count)
-        assert abs(total / count) < 3.0 * se
+        anchors, sizes, q = aug_summaries(obs, values[:, block_edges(n, k) * m], k, V_LEB)
+        terms = score_terms(1.0, 1.0, MULT, anchors, sizes, q)
+        assert terms.shape == (reps, n // k)
+        se = np.sqrt(2.0 * (k + 1) / terms.size)
+        assert abs(terms.mean()) < 3.0 * se
 
 
 class TestXiDtheta:
     def test_zero_increments(self):
-        assert xi_dtheta(np.zeros(4), 0.0, 1.3, 1.0, SINE, V_LEB) == 0.0
+        assert -block_terms(np.zeros(4), 0.0, 1.3, 1.0, SINE)[1] == 0.0
 
     def test_k1_lebesgue(self):
-        assert xi_dtheta(np.array([1.0, 1.0]), 0.0, 1.0, 1.0, MULT, V_LEB) == pytest.approx(-8.0)
+        assert -block_terms(np.array([1.0, 1.0]), 0.0, 1.0, 1.0, MULT)[1] == pytest.approx(-8.0)
 
     def test_finite_difference(self, rng):
         eps = 1e-5
@@ -171,43 +177,41 @@ class TestXiDtheta:
                 theta = rng.uniform(0.8, 2.5)
                 theta0 = rng.uniform(0.8, 2.5)
                 fd = (
-                    xi(u, anchor, theta + eps, theta0, model, V_LEB)
-                    - xi(u, anchor, theta - eps, theta0, model, V_LEB)
+                    block_terms(u, anchor, theta + eps, theta0, model)[0]
+                    - block_terms(u, anchor, theta - eps, theta0, model)[0]
                 ) / (2 * eps)
                 assert fd == pytest.approx(
-                    xi_dtheta(u, anchor, theta, theta0, model, V_LEB), rel=1e-6, abs=1e-9
+                    -block_terms(u, anchor, theta, theta0, model)[1], rel=1e-6, abs=1e-9
                 )
 
 
 class TestScoreAndInfo:
-    def _zero_blockset(self, k, sizes, anchors):
-        blocks = []
-        for size, anchor in zip(sizes, anchors):
-            blocks.append(Block(anchor=anchor, means=np.zeros(size - 1), terminal=anchor,
-                                increments=np.zeros(size)))
-        n = sum(s - 1 for s in sizes)
-        return BlockSet(n=n, k=k, L=len(blocks), blocks=tuple(blocks), last_block_len=0)
-
     def test_all_zero_increments(self):
-        blocks = self._zero_blockset(3, [4, 4, 3], [0.0, 1.0, -1.0])
-        N, I = score_and_info(blocks, 1.5, SINE, V_LEB)
+        # A constant path: blocks of 4, 4 and 3 increments, all zero.
+        n, k = 8, 3
+        anchors, sizes, q = aug_summaries(np.zeros((1, n)), np.zeros((1, 4)), k, V_LEB)
+        assert list(sizes) == [4, 4, 3]
+        N = np.sum(score_terms(1.5, 1.5, SINE, anchors, sizes, q)) / np.sqrt(n)
+        I = np.sum(info_terms(1.5, 1.5, SINE, anchors, q)) / n
         r = 1.0 / 1.5
-        expect = -(4 * r + 4 * r + 3 * r) / np.sqrt(blocks.n)
+        expect = -(4 * r + 4 * r + 3 * r) / np.sqrt(n)
         assert N == pytest.approx(expect, rel=1e-12)
         assert I == 0.0
 
     def test_matches_per_block_sum(self):
-        path = simulate_path(SINE, 1.2, 0.1, n=23, m=8, seed=13)
-        obs = observe(path, LEB)
-        blocks = augment(path, obs, 4)
-        N, I = score_and_info(blocks, 1.2, SINE, V_LEB)
-        n = blocks.n
-        N_manual = sum(
-            xi(b.increments, b.anchor, 1.2, 1.2, SINE, V_LEB) for b in blocks.blocks
-        ) / np.sqrt(n)
-        I_manual = -sum(
-            xi_dtheta(b.increments, b.anchor, 1.2, 1.2, SINE, V_LEB) for b in blocks.blocks
-        ) / n
+        n, k = 23, 4
+        path = simulate_path(SINE, 1.2, 0.1, n=n, m=8, seed=13)
+        obs, edge_values, (anchors, sizes, q) = path_summaries(path, LEB, k)
+        N = np.sum(score_terms(1.2, 1.2, SINE, anchors, sizes, q)) / np.sqrt(n)
+        I = np.sum(info_terms(1.2, 1.2, SINE, anchors, q)) / n
+        edges, ev = block_edges(n, k), edge_values[0]
+        per_block = [
+            block_terms(hand_increments(obs[0], edges[l], edges[l + 1], ev[l], ev[l + 1], n),
+                        ev[l], 1.2, 1.2, SINE)
+            for l in range(edges.size - 1)
+        ]
+        N_manual = sum(t[0] for t in per_block) / np.sqrt(n)
+        I_manual = sum(t[1] for t in per_block) / n
         assert N == pytest.approx(N_manual, rel=1e-12)
         assert I == pytest.approx(I_manual, rel=1e-12)
 
@@ -215,44 +219,42 @@ class TestScoreAndInfo:
         # n=9, k=4: blocks of sizes 5, 5 and a final one of 2 increments
         # whose covariance is the corner 2x2 matrix [[v1, c], [c, v2]].
         path = simulate_path(SINE, 1.1, 0.2, n=9, m=8, seed=19)
-        obs = observe(path, LEB)
-        blocks = augment(path, obs, 4)
-        assert [b.increments.size for b in blocks.blocks] == [5, 5, 2]
-        N, I = score_and_info(blocks, 1.1, SINE, V_LEB)
-        tail = blocks.blocks[-1]
+        obs, edge_values, (anchors, sizes, qforms) = path_summaries(path, LEB, 4)
+        assert list(sizes) == [5, 5, 2]
+        _, tail = aug_increments(obs, edge_values, 4)
         corner = np.array([[V_LEB.v1, V_LEB.c], [V_LEB.c, V_LEB.v2]])
-        manual_q = tail.increments @ np.linalg.solve(corner, tail.increments)
-        from diffmeans.quasi_score import block_summaries
-
-        _, _, qforms = block_summaries(blocks, V_LEB)
-        assert qforms[-1] == pytest.approx(manual_q, rel=1e-12)
+        manual_q = tail[0] @ np.linalg.solve(corner, tail[0])
+        assert qforms[0, -1] == pytest.approx(manual_q, rel=1e-12)
+        N = np.sum(score_terms(1.1, 1.1, SINE, anchors, sizes, qforms))
+        I = np.sum(info_terms(1.1, 1.1, SINE, anchors, qforms))
         assert np.isfinite(N) and np.isfinite(I)
 
     def test_information_mean_multiplicative(self):
         # E[I] = 2 * sum(k_l + 1) / n at theta0 = 1 for the Gaussian model.
         n, m, k, reps = 1024, 16, 10, 100
-        values, dW = simulate_values(MULT, 1.0, 0.0, n, m, seed=3, reps=reps)
+        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, seed=3, reps=reps)
         obs = observe_values(values, LEB, n, m)
-        total = 0.0
-        for r in range(reps):
-            path = PathGrid(n=n, m=m, values=values[r], dW=dW[r], theta_true=1.0, seed=3)
-            _, I = score_and_info(augment(path, obs[r], k), 1.0, MULT, V_LEB)
-            total += I
+        anchors, _, q = aug_summaries(obs, values[:, block_edges(n, k) * m], k, V_LEB)
+        I = np.sum(info_terms(1.0, 1.0, MULT, anchors, q), axis=1) / n
         target = 2.0 * (102 * 11 + 5) / n
-        assert total / reps == pytest.approx(target, rel=0.1)
+        assert I.mean() == pytest.approx(target, rel=0.1)
 
 
 class TestXiObs:
     def test_zero_increments(self):
-        assert xi_obs(np.zeros(2), 0.0, 1.0, 1.0, MULT, V_LEB) == pytest.approx(-2.0)
+        anchors, sizes, q = obs_summaries(np.zeros((1, 3)), 0.0, 3, V_LEB)
+        assert score_terms(1.0, 1.0, MULT, anchors, sizes, q)[0, 0] == pytest.approx(-2.0)
 
     def test_k2_scalar_matrix(self):
         # Interior matrix is the scalar [2/3]; u=2 gives form 6.
-        assert xi_obs(np.array([2.0]), 0.0, 1.0, 1.0, MULT, V_LEB) == pytest.approx(5.0)
+        n = 2
+        obs = np.array([[0.0, 2.0 / np.sqrt(n)]])
+        anchors, sizes, q = obs_summaries(obs, 0.0, 2, V_LEB)
+        assert score_terms(1.0, 1.0, MULT, anchors, sizes, q)[0, 0] == pytest.approx(5.0)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            xi_obs(np.array([]), 0.0, 1.0, 1.0, MULT, V_LEB)
+            obs_summaries(np.zeros((1, 4)), 0.0, 1, V_LEB)
         with pytest.raises(ValueError):
             interior_block_cov(1, V_LEB)
 
@@ -260,54 +262,64 @@ class TestXiObs:
         n, m, k, reps = 64, 16, 8, 300
         values, _ = simulate_values(MULT, 1.0, 0.0, n, m, seed=17, reps=reps)
         obs = observe_values(values, LEB, n, m)
-        vals = []
-        for r in range(reps):
-            N, _ = obs_score_and_info(obs[r], 0.0, k, 1.0, MULT, V_LEB)
-            vals.append(N)
-        vals = np.array(vals)
+        anchors, sizes, q = obs_summaries(obs, 0.0, k, V_LEB)
+        vals = np.sum(score_terms(1.0, 1.0, MULT, anchors, sizes, q), axis=1) / np.sqrt(n)
         assert abs(vals.mean()) < 3.0 * vals.std(ddof=1) / np.sqrt(reps)
 
 
 class TestQuasiLoglik:
     def test_derivative_matches_score_terms(self):
         path = simulate_path(SINE, 1.3, 0.2, n=16, m=8, seed=4)
-        blocks = augment(path, observe(path, LEB), 4)
+        _, _, (anchors, sizes, q) = path_summaries(path, LEB, 4)
+        objective = _QuasiObjective(SINE, anchors[0], sizes, q[0], 16)
         eps = 1e-5
         for theta in (0.9, 1.3, 2.1):
-            fd = (
-                quasi_loglik(blocks, theta + eps, SINE, V_LEB)
-                - quasi_loglik(blocks, theta - eps, SINE, V_LEB)
-            ) / (2 * eps)
-            score = sum(
-                xi(b.increments, b.anchor, theta, theta, SINE, V_LEB) for b in blocks.blocks
-            )
+            fd = (objective.loglik(theta + eps) - objective.loglik(theta - eps)) / (2 * eps)
+            score = np.sum(score_terms(theta, theta, SINE, anchors, sizes, q))
             assert fd == pytest.approx(score, rel=1e-6)
 
     def test_multiplicative_closed_form_maximum(self):
         path = simulate_path(MULT, 1.4, 0.0, n=64, m=8, seed=6)
-        blocks = augment(path, observe(path, LEB), 8)
-        q_total = sum(
-            quadratic_form(augmented_block_cov(b.increments.size - 1, V_LEB), b.increments)
-            for b in blocks.blocks
-        )
-        sizes = sum(b.increments.size for b in blocks.blocks)
-        theta_star = np.sqrt(q_total / sizes)
-        best = quasi_loglik(blocks, theta_star, MULT, V_LEB)
+        _, _, (anchors, sizes, q) = path_summaries(path, LEB, 8)
+        objective = _QuasiObjective(MULT, anchors[0], sizes, q[0], 64)
+        theta_star = np.sqrt(q.sum() / sizes.sum())
+        best = objective.loglik(theta_star)
         for delta in (-0.05, 0.05):
-            assert quasi_loglik(blocks, theta_star + delta, MULT, V_LEB) < best
+            assert objective.loglik(theta_star + delta) < best
 
     def test_anchor_shift_invariance_multiplicative(self):
         path = simulate_path(MULT, 1.0, 0.0, n=16, m=8, seed=8)
-        blocks = augment(path, observe(path, LEB), 4)
-        shifted = BlockSet(
-            n=blocks.n, k=blocks.k, L=blocks.L,
-            blocks=tuple(
-                Block(anchor=b.anchor + 5.0, means=b.means, terminal=b.terminal,
-                      increments=b.increments)
-                for b in blocks.blocks
-            ),
-            last_block_len=blocks.last_block_len,
-        )
-        assert quasi_loglik(blocks, 1.2, MULT, V_LEB) == pytest.approx(
-            quasi_loglik(shifted, 1.2, MULT, V_LEB), rel=1e-14
-        )
+        _, _, (anchors, sizes, q) = path_summaries(path, LEB, 4)
+        base = _QuasiObjective(MULT, anchors[0], sizes, q[0], 16)
+        shifted = _QuasiObjective(MULT, anchors[0] + 5.0, sizes, q[0], 16)
+        assert base.loglik(1.2) == pytest.approx(shifted.loglik(1.2), rel=1e-14)
+
+
+class TestBatchedCore:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 40), st.integers(1, 5), weight_measures(),
+           st.integers(0, 2**32 - 1))
+    def test_rows_match_single_path_calls(self, n, k, R, measure, seed):
+        # Chunking invariance of the summaries.  A size group holding one
+        # row in the R = 1 call (L = 1, or the tail block) is reduced by
+        # einsum in another order, so it agrees to rounding only; every
+        # other quadratic form is bit-equal.
+        k = min(k, n)
+        coeffs = v_coefficients(measure)
+        r = np.random.default_rng(seed)
+        obs = r.standard_normal((R, n)).cumsum(axis=1)
+        edge_values = r.standard_normal((R, block_edges(n, k).size))
+        builders = [(aug_summaries, (obs, edge_values, k, coeffs))]
+        if k >= 2:
+            builders.append((obs_summaries, (obs, 0.3, k, coeffs)))
+        for build, args in builders:
+            anchors, sizes, q = build(*args)
+            L = n // k
+            for row in range(R):
+                one = [a[row : row + 1] if isinstance(a, np.ndarray) else a for a in args]
+                a1, s1, q1 = build(*one)
+                np.testing.assert_array_equal(a1[0], anchors[row])
+                np.testing.assert_array_equal(s1, sizes)
+                np.testing.assert_allclose(q1[0], q[row], rtol=1e-14, atol=0.0)
+                if L >= 2:
+                    np.testing.assert_array_equal(q1[0, :L], q[row, :L])

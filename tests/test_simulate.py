@@ -4,9 +4,9 @@ import pytest
 from diffmeans.exact_oracle import build_base_cov
 from diffmeans.measures import WeightMeasure, v_coefficients
 from diffmeans.models import get_model
-from diffmeans.quasi_score import augmented_block_cov
+from diffmeans.quasi_score import aug_increments, augmented_block_cov
 from diffmeans.simulate import (
-    augment,
+    block_edges,
     coupled_increments_values,
     euler_values,
     gaussian_coupled_increments,
@@ -101,31 +101,39 @@ class TestObserve:
         assert np.all(np.abs(sample - target) < 3.5 * se)
 
 
+def augmented_blocks(path, measure, k):
+    """Per-block rescaled increments of one path, full blocks then the tail."""
+    obs = observe(path, measure)[None, :]
+    U, U_tail = aug_increments(obs, path.values[block_edges(path.n, k) * path.m][None, :], k)
+    return list(U[0]) + ([] if U_tail is None else [U_tail[0]])
+
+
 class TestAugment:
     def test_single_block_when_k_equals_n(self):
         path = simulate_path(MULT, 1.0, 0.0, n=8, m=4, seed=1)
-        blocks = augment(path, observe(path, LEB), 8)
-        assert blocks.L == 1 and blocks.last_block_len == 0
-        assert len(blocks.blocks) == 1
-        assert blocks.blocks[0].increments.size == 9
+        assert list(block_edges(8, 8)) == [0, 8]
+        blocks = augmented_blocks(path, LEB, 8)
+        assert len(blocks) == 1
+        assert blocks[0].size == 9
 
     def test_k_one_gives_n_blocks_of_two(self):
         path = simulate_path(MULT, 1.0, 0.0, n=8, m=4, seed=1)
-        blocks = augment(path, observe(path, LEB), 1)
-        assert blocks.L == 8 and blocks.last_block_len == 0
-        assert len(blocks.blocks) == 8
-        assert all(b.increments.size == 2 for b in blocks.blocks)
+        assert list(block_edges(8, 1)) == list(range(9))
+        blocks = augmented_blocks(path, LEB, 1)
+        assert len(blocks) == 8
+        assert all(b.size == 2 for b in blocks)
 
     def test_partial_final_block(self):
         path = simulate_path(MULT, 1.0, 0.0, n=6, m=4, seed=1)
-        blocks = augment(path, observe(path, LEB), 4)
-        assert blocks.L == 1 and blocks.last_block_len == 2
-        assert [b.increments.size for b in blocks.blocks] == [5, 3]
+        assert list(block_edges(6, 4)) == [0, 4, 6]
+        assert [b.size for b in augmented_blocks(path, LEB, 4)] == [5, 3]
 
     def test_k_larger_than_n_rejected(self):
         path = simulate_path(MULT, 1.0, 0.0, n=4, m=4, seed=1)
         with pytest.raises(ValueError):
-            augment(path, observe(path, LEB), 5)
+            block_edges(4, 5)
+        with pytest.raises(ValueError):
+            aug_increments(observe(path, LEB)[None, :], path.values[[0, 16]][None, :], 5)
 
     @pytest.mark.parametrize("model_name,measure", [
         ("multiplicative_bm", LEB),
@@ -135,21 +143,19 @@ class TestAugment:
     def test_telescoping_identity(self, model_name, measure):
         model = get_model(model_name)
         path = simulate_path(model, 1.1, 0.4, n=13, m=8, seed=21)
-        blocks = augment(path, observe(path, measure), 5)
-        for b in blocks.blocks:
-            lhs = np.sum(b.increments)
-            rhs = np.sqrt(13) * (b.terminal - b.anchor)
+        edge_values = path.values[block_edges(13, 5) * 8]
+        for l, inc in enumerate(augmented_blocks(path, measure, 5)):
+            lhs = np.sum(inc)
+            rhs = np.sqrt(13) * (edge_values[l + 1] - edge_values[l])
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 class TestGaussianCoupling:
     def test_exact_for_multiplicative(self):
         path = simulate_path(MULT, 1.4, 0.0, n=32, m=16, seed=9)
-        obs = observe(path, LEB)
-        blocks = augment(path, obs, 5)
-        for l, block in enumerate(blocks.blocks):
+        for l, inc in enumerate(augmented_blocks(path, LEB, 5)):
             tilde = gaussian_coupled_increments(path, MULT, 5, l, LEB, 1.4)
-            np.testing.assert_allclose(block.increments, tilde, atol=1e-11)
+            np.testing.assert_allclose(inc, tilde, atol=1e-11)
 
     def test_block_index_bounds(self):
         path = simulate_path(MULT, 1.0, 0.0, n=8, m=8, seed=2)
