@@ -127,6 +127,13 @@ def _write_text(path, text):
             f.write(text)
 
 
+def _finite_xi0(value) -> float:
+    xi0 = float(value)
+    if not math.isfinite(xi0):
+        raise ValueError(f"xi0 must be a finite number, got {xi0!r}")
+    return xi0
+
+
 def cmd_simulate(args) -> int:
     file_cfg = _load_config_file(args.config)
     model = get_model(_opt(args, file_cfg, "model", "multiplicative_bm"))
@@ -136,7 +143,7 @@ def cmd_simulate(args) -> int:
     n = int(_opt(args, file_cfg, "n", 256))
     m = int(_opt(args, file_cfg, "m", 32))
     seed = int(_opt(args, file_cfg, "seed", DEFAULT_SEED))
-    xi0 = float(_opt(args, file_cfg, "xi0", model.default_xi0))
+    xi0 = _finite_xi0(_opt(args, file_cfg, "xi0", model.default_xi0))
     augmented = bool(getattr(args, "augmented", False) or file_cfg.get("augmented", False))
     out = _opt(args, file_cfg, "out", "-")
 
@@ -188,7 +195,8 @@ def _read_observation_csv(text: str):
 
     edge_values are the block anchors followed by the terminal value; every
     block but the last holds k means and the last 1..k.  Raises ValueError
-    on any malformed row, non-finite value or ragged block.
+    on any malformed row, non-finite value, ragged block or a row whose
+    anchor differs from the rest of its block.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -224,6 +232,9 @@ def _read_observation_csv(text: str):
                 groups.append((anchor, []))
             elif l != len(groups) - 1:
                 raise ValueError(f"non-consecutive block index at row {ln!r}")
+            elif anchor != groups[-1][0]:
+                raise ValueError(f"anchor at row {ln!r} differs from its block's anchor "
+                                 f"{groups[-1][0]!r}")
             groups[-1][1].append(x)
         if terminal is None or not groups:
             raise ValueError("augmented CSV lacks the terminal row")
@@ -244,7 +255,7 @@ def cmd_estimate(args) -> int:
     measure_spec = _parse_measure(_opt(args, file_cfg, "measure"))
     measure = measure_from_spec(measure_spec)
     coeffs = v_coefficients(measure)
-    xi0 = float(_opt(args, file_cfg, "xi0", model.default_xi0))
+    xi0 = _finite_xi0(_opt(args, file_cfg, "xi0", model.default_xi0))
     theta_init = _opt(args, file_cfg, "theta_init")
     source = _opt(args, file_cfg, "input", "-")
     out = _opt(args, file_cfg, "out", "-")

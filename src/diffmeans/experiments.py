@@ -28,7 +28,7 @@ import numpy as np
 from .estimate import _QuasiObjective, _solve
 from .exact_oracle import build_base_cov
 from .measures import measure_from_spec, v_coefficients
-from .models import get_model, info_integrand
+from .models import get_model, path_information
 from .quasi_score import aug_summaries, info_terms, obs_summaries, score_terms
 from .simulate import block_edges, coupled_increments_values, observe_values, rep_rng, simulate_values
 
@@ -110,6 +110,8 @@ class ExperimentConfig:
         model = get_model(self.model)
         measure_from_spec(self.measure)
         model.check_theta(self.theta0)
+        if not math.isfinite(self.xi0):
+            raise ValueError(f"xi0={self.xi0} is not a finite number")
         if self.m < 2:
             raise ValueError("need m >= 2 substeps")
         if self.replications < 2:
@@ -215,11 +217,6 @@ def _score_info_arrays(anchors, sizes, q, theta0, model, n):
     return N, I
 
 
-def _path_information_batch(values, model, theta0, n, m):
-    y = info_integrand(model, values, theta0)
-    return 2.0 * np.trapezoid(y, dx=1.0 / (n * m), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # chunk workers (top-level for pickling)
 
@@ -234,7 +231,7 @@ def _expansion_chunk(args):
     obs = observe_values(values, measure, n, m)
     anchors, sizes, q = obs_summaries(obs, xi0, k, coeffs)
     N, I = _score_info_arrays(anchors, sizes, q, theta0, model, n)
-    pinfo = _path_information_batch(values, model, theta0, n, m)
+    pinfo = path_information(model, values, theta0)
     return {"obs": obs, "N": N, "I": I, "pinfo": pinfo}
 
 
@@ -248,7 +245,7 @@ def _information_chunk(args):
     obs = observe_values(values, measure, n, m)
     anchors, sizes, q = aug_summaries(obs, values[:, block_edges(n, k) * m], k, coeffs)
     N, I = _score_info_arrays(anchors, sizes, q, theta0, model, n)
-    pinfo = _path_information_batch(values, model, theta0, n, m)
+    pinfo = path_information(model, values, theta0)
     return {"N": N, "I": I, "pinfo": pinfo}
 
 
@@ -550,12 +547,6 @@ def run_density_tails(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     return _report(cfg, rows, t0)
 
 
-def _scale_family(model, theta0: float) -> bool:
-    """True when a(x, theta) = theta * g(x), so the information is 2/theta0^2."""
-    xs = np.linspace(-20.0, 20.0, 41)
-    return bool(np.max(np.abs(model.rel_sensitivity(xs, theta0) * theta0 - 1.0)) < 1e-12)
-
-
 def run_estimator(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Dispersion of sqrt(n)(theta_hat - theta0) against the information bound.
 
@@ -568,7 +559,7 @@ def run_estimator(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     M = cfg.replications
     measure = measure_from_spec(cfg.measure)
     theta0 = cfg.theta0
-    deterministic_info = _scale_family(get_model(cfg.model), theta0)
+    deterministic_info = get_model(cfg.model).scale_family
     for i, n in enumerate(cfg.n_list):
         k = resolve_k(cfg.k_rule, n)
         args = _path_chunk_args(cfg, n, k, i, extra=(tuple(cfg.estimators),))

@@ -20,6 +20,9 @@ __all__ = [
     "path_information",
 ]
 
+# Row-block size, in doubles (1 MiB), for passes over a batch of fine-grid paths.
+_BLOCK_DOUBLES = 1 << 17
+
 
 @dataclass(frozen=True)
 class DiffusionModel:
@@ -28,6 +31,11 @@ class DiffusionModel:
     ``a`` and ``a_dot`` take (x, theta); ``b`` takes x.  All three accept
     numpy arrays in x.  ``a_lower`` is the non-degeneracy floor: a(x, theta)
     stays at or above it for theta in ``theta_interval``.
+
+    Two declarations, checked by ``validate_registry``, select exact
+    shortcuts: ``scaled_brownian`` (a free of x and b = 0, so X is
+    xi0 + a B) and ``scale_family`` (a = theta g(x), so the relative
+    sensitivity is 1/theta and the information 2/theta^2 is deterministic).
     """
 
     name: str
@@ -37,6 +45,8 @@ class DiffusionModel:
     theta_interval: tuple[float, float]
     a_lower: float
     default_xi0: float = 0.0
+    scaled_brownian: bool = False
+    scale_family: bool = False
 
     def check_theta(self, theta: float) -> float:
         lo, hi = self.theta_interval
@@ -96,6 +106,8 @@ REGISTRY: dict[str, DiffusionModel] = {
         theta_interval=(0.5, 3.0),
         a_lower=0.5,
         default_xi0=0.0,
+        scaled_brownian=True,
+        scale_family=True,
     ),
     # a(x,theta) = theta (2 + sin x): state-dependent but with
     # (da/dtheta)/a = 1/theta, so the information is deterministic.
@@ -106,6 +118,7 @@ REGISTRY: dict[str, DiffusionModel] = {
         b=_sine_b,
         theta_interval=(0.5, 3.0),
         a_lower=0.5,
+        scale_family=True,
     ),
     # a(x,theta) = 1 + theta/(1+x^2): genuinely path-dependent sensitivity,
     # so the limiting information is random (mixed-normal limits).
@@ -133,14 +146,29 @@ def info_integrand(model: DiffusionModel, x, theta: float):
     return r * r
 
 
-def path_information(model: DiffusionModel, path, theta: float) -> float:
+def path_information(model: DiffusionModel, values, theta: float):
     """Trapezoid approximation of 2 * int_0^1 ((da/dtheta)/a)^2(X_s, theta) ds.
 
-    ``path`` is a PathGrid covering [0,1] (or anything exposing ``values``).
+    ``values`` is one path on a uniform grid of [0,1] (a float comes back)
+    or one path per row (an array of rows comes back).  Rows are integrated
+    in cache-sized blocks, each with numpy's own summation per row.
     """
-    values = np.asarray(getattr(path, "values", path), dtype=float)
-    y = info_integrand(model, values, theta)
-    return float(2.0 * np.trapezoid(y, dx=1.0 / (values.size - 1)))
+    values = np.asarray(values, dtype=float)
+    squeeze = values.ndim == 1
+    if squeeze:
+        values = values[None, :]
+    dx = 1.0 / (values.shape[1] - 1)
+    out = np.empty(values.shape[0])
+    for rows in row_blocks(values):
+        y = info_integrand(model, values[rows], theta)
+        out[rows] = 2.0 * np.trapezoid(y, dx=dx, axis=1)
+    return float(out[0]) if squeeze else out
+
+
+def row_blocks(values: np.ndarray):
+    """Slices of about ``_BLOCK_DOUBLES`` elements over the rows of a 2-D array."""
+    step = max(1, _BLOCK_DOUBLES // values.shape[1])
+    return [slice(s, s + step) for s in range(0, values.shape[0], step)]
 
 
 def validate_registry(x_range=(-50.0, 50.0), x_points: int = 201, theta_points: int = 100) -> None:
@@ -152,6 +180,14 @@ def validate_registry(x_range=(-50.0, 50.0), x_points: int = 201, theta_points: 
             a = np.asarray(model.a(xs, theta), dtype=float)
             if not np.all(a >= model.a_lower):
                 raise AssertionError(f"{model.name}: diffusion coefficient below floor")
-            for arr in (a, np.asarray(model.a_dot(xs, theta)), np.asarray(model.b(xs))):
+            b = np.asarray(model.b(xs), dtype=float)
+            for arr in (a, np.asarray(model.a_dot(xs, theta)), b):
                 if not np.all(np.isfinite(arr)):
                     raise AssertionError(f"{model.name}: unbounded coefficient on grid")
+            if model.scaled_brownian and not (np.all(a == a[0]) and np.all(b == 0.0)):
+                raise AssertionError(f"{model.name}: declared scaled Brownian but a varies "
+                                     "in x or b is not zero")
+            if model.scale_family and not np.all(
+                    np.abs(model.rel_sensitivity(xs, theta) * theta - 1.0) < 1e-12):
+                raise AssertionError(f"{model.name}: declared scale family but "
+                                     "(da/dtheta)/a is not 1/theta")

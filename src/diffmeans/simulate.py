@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import WeightMeasure, mean_weights
-from .models import DiffusionModel
+from .models import DiffusionModel, row_blocks
 
 __all__ = [
     "PathGrid",
@@ -66,6 +66,10 @@ def euler_values(model: DiffusionModel, theta: float, xi0: float, h: float, dW: 
     ``dW`` may be a vector (one path) or a matrix (one path per row).
     Exposed separately from the simulators so tests can drive it with
     hand-built increments (e.g. all zeros).
+
+    For a scaled Brownian model (a free of x, b = 0) the path is one
+    cumulative sum of (xi0, a dW): the same sequential additions as the
+    recursion, whose drift term only adds +0.0, so the bits agree.
     """
     dW = np.asarray(dW, dtype=float)
     squeeze = dW.ndim == 1
@@ -73,6 +77,11 @@ def euler_values(model: DiffusionModel, theta: float, xi0: float, h: float, dW: 
         dW = dW[None, :]
     reps, steps = dW.shape
     values = np.empty((reps, steps + 1))
+    if model.scaled_brownian:
+        values[:, 0] = xi0
+        np.multiply(model.a(xi0, theta), dW, out=values[:, 1:])
+        np.cumsum(values, axis=1, out=values)
+        return values[0] if squeeze else values
     x = np.full(reps, float(xi0))
     values[:, 0] = x
     for i in range(steps):
@@ -113,8 +122,7 @@ def simulate_values(
     n_reps = 1 if squeeze else reps
     dW = np.empty((n_reps, steps))
     for r in range(n_reps):
-        rng = rep_rng(seed, *stream, rep_offset + r)
-        dW[r] = rng.standard_normal(steps)
+        rep_rng(seed, *stream, rep_offset + r).standard_normal(out=dW[r])
     dW *= np.sqrt(h)
     values = euler_values(model, theta, xi0, h, dW)
     if squeeze:
@@ -131,15 +139,21 @@ def simulate_path(model: DiffusionModel, theta: float, xi0: float, n: int, m: in
 
 
 def observe_values(values: np.ndarray, measure: WeightMeasure, n: int, m: int) -> np.ndarray:
-    """Local means of each cell for a batch of paths (rows)."""
+    """Local means of each cell for a batch of paths (rows).
+
+    The m + 1 weighted strided passes run over cache-sized row blocks;
+    each element sees the same arithmetic in the same order.
+    """
     values = np.asarray(values, dtype=float)
     squeeze = values.ndim == 1
     if squeeze:
         values = values[None, :]
     w = mean_weights(measure, m)
     obs = np.zeros((values.shape[0], n))
-    for p in range(m + 1):
-        obs += w[p] * values[:, p : p + (n - 1) * m + 1 : m]
+    for rows in row_blocks(values):
+        block, out = values[rows], obs[rows]
+        for p in range(m + 1):
+            out += w[p] * block[:, p : p + (n - 1) * m + 1 : m]
     return obs[0] if squeeze else obs
 
 

@@ -61,6 +61,16 @@ class TestSimulateCommand:
     def test_malformed_measure_exits_2(self, tmp_path):
         assert run_cli(["simulate", "--measure", "42", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("xi0", ["nan", "inf", "-inf"])
+    def test_non_finite_xi0_exits_2_without_output(self, xi0, tmp_path, capsys):
+        out = tmp_path / "obs.csv"
+        assert run_cli(["simulate", "--n", "4", "--m", "4", f"--xi0={xi0}"]) == 2
+        assert run_cli(["simulate", "--n", "4", "--m", "4", f"--xi0={xi0}", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "xi0" in captured.err
+        assert not out.exists() and not (tmp_path / "obs.csv.meta.json").exists()
+
     def test_path_dump(self, tmp_path):
         out = tmp_path / "obs.csv"
         dump = tmp_path / "path.csv"
@@ -151,6 +161,24 @@ class TestEstimateCommand:
         assert run_cli(["estimate", "--in", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_conflicting_anchor_in_block_exits_2(self, monkeypatch, capsys):
+        # The second row of block 0 carries anchor 5.0, not the block's 0.0.
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "j,xbar,l,anchor\n0,0.1,0,0.0\n1,0.2,0,5.0\n2,,1,0.3\n"))
+        assert run_cli(["estimate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1,0.2,0,5.0" in captured.err
+
+    def test_non_finite_xi0_exits_2_before_reading(self, monkeypatch, capsys):
+        stdin = io.StringIO("j,xbar\n0,0.1\n1,0.2\n2,0.2\n3,0.1\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run_cli(["estimate", "--k", "fixed:2", "--xi0", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "xi0" in captured.err
+        assert stdin.tell() == 0
+
     def test_wrong_header_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,value\n0,1.0\n")
@@ -186,6 +214,12 @@ class TestVerifyCommand:
         run = json.loads((tmp_path / "r.json").read_text())["config"]["runs"][0]
         assert run["seed"] == 11
         assert run["replications"] == 100_000  # the default suite's chi2 run
+
+    def test_non_finite_xi0_exits_2(self, tmp_path):
+        out = tmp_path / "rep"
+        assert run_cli(["verify", "--experiment", "tails", "--xi0", "nan",
+                        "--out", str(out)]) == 2
+        assert not (tmp_path / "rep.csv").exists()
 
     def test_unknown_experiment_exits_2(self, tmp_path):
         assert run_cli(["verify", "--experiment", "warp", "--out", str(tmp_path / "r")]) == 2

@@ -46,6 +46,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="expansion", theta0=2.95, h=1.0, n_list=(256,))
 
+    @pytest.mark.parametrize("xi0", [float("nan"), float("inf")])
+    def test_non_finite_xi0_rejected(self, xi0):
+        with pytest.raises(ValueError, match="xi0"):
+            ExperimentConfig(experiment="tails", xi0=xi0)
+
     def test_run_id_defaults_to_experiment(self):
         cfg = ExperimentConfig(experiment="chi2")
         assert cfg.run_id == "chi2"

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from diffmeans import models
 from diffmeans.models import (
     REGISTRY,
     get_model,
@@ -25,6 +28,24 @@ def test_registry_coefficient_floors():
     validate_registry()
 
 
+def test_declared_shortcuts():
+    assert {name for name, mdl in REGISTRY.items() if mdl.scaled_brownian} == {"multiplicative_bm"}
+    assert {name for name, mdl in REGISTRY.items() if mdl.scale_family} == {
+        "multiplicative_bm", "sine_scale"}
+
+
+def test_registry_rejects_false_scale_family(monkeypatch):
+    monkeypatch.setitem(REGISTRY, "cauchy_scale", dataclasses.replace(CAUCHY, scale_family=True))
+    with pytest.raises(AssertionError, match="scale family"):
+        validate_registry()
+
+
+def test_registry_rejects_false_scaled_brownian(monkeypatch):
+    monkeypatch.setitem(REGISTRY, "sine_scale", dataclasses.replace(SINE, scaled_brownian=True))
+    with pytest.raises(AssertionError, match="scaled Brownian"):
+        validate_registry()
+
+
 class TestInfoIntegrand:
     def test_multiplicative(self):
         assert info_integrand(MULT, 12.3, 1.0) == pytest.approx(1.0)
@@ -40,14 +61,34 @@ class TestInfoIntegrand:
 class TestPathInformation:
     def test_multiplicative_constant(self):
         path = simulate_path(MULT, 1.0, 0.0, n=16, m=8, seed=1)
-        assert path_information(MULT, path, 1.0) == pytest.approx(2.0, abs=1e-12)
+        assert path_information(MULT, path.values, 1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_sine_scale_deterministic(self):
         path = simulate_path(SINE, 2.0, 0.0, n=16, m=8, seed=1)
-        assert path_information(SINE, path, 2.0) == pytest.approx(0.5, abs=1e-12)
+        assert path_information(SINE, path.values, 2.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_cauchy_zero_path(self):
         assert path_information(CAUCHY, np.zeros(129), 1.0) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("block", ["rows_below", "rows_at", "rows_above", "default"])
+    @pytest.mark.parametrize("model", [MULT, SINE, CAUCHY], ids=lambda mdl: mdl.name)
+    @pytest.mark.parametrize("reps", [None, 1, 7])
+    def test_row_blocks_match_whole_array(self, monkeypatch, block, model, reps):
+        row = (1 << 17) + 1 if block == "default" else 97
+        if block != "default":
+            # Rows shorter than, equal to and longer than one block.
+            size = {"rows_below": 3 * row + 1, "rows_at": row, "rows_above": row - 1}[block]
+            monkeypatch.setattr(models, "_BLOCK_DOUBLES", size)
+        rows = 1 if reps is None else reps
+        values = np.cumsum(np.random.default_rng(row + rows).standard_normal((rows, row)), axis=1)
+        values *= 1.0 / np.sqrt(row)
+        got = path_information(model, values[0] if reps is None else values, 1.7)
+        if reps is None:
+            y = info_integrand(model, values[0], 1.7)
+            assert got == float(2.0 * np.trapezoid(y, dx=1.0 / (row - 1)))
+        else:
+            y = info_integrand(model, values, 1.7)
+            assert np.array_equal(got, 2.0 * np.trapezoid(y, dx=1.0 / (row - 1), axis=1))
 
     def test_grid_refinement_stable(self):
         path = simulate_path(SINE, 1.0, 0.3, n=64, m=512, seed=5)

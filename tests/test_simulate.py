@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diffmeans import models
 from diffmeans.exact_oracle import build_base_cov
-from diffmeans.measures import WeightMeasure, v_coefficients
+from diffmeans.measures import WeightMeasure, mean_weights, v_coefficients
 from diffmeans.models import get_model
 from diffmeans.quasi_score import aug_increments, augmented_block_cov
 from diffmeans.simulate import (
@@ -19,13 +24,28 @@ from diffmeans.simulate import (
 MULT = get_model("multiplicative_bm")
 SINE = get_model("sine_scale")
 LEB = WeightMeasure.lebesgue()
+# The same coefficients without the declaration: runs the generic Euler loop.
+GENERIC_MULT = dataclasses.replace(MULT, scaled_brownian=False)
 
 
 class TestEuler:
     def test_multiplicative_is_exact_brownian_sum(self):
         path = simulate_path(MULT, 1.5, 0.0, n=32, m=16, seed=11)
         expect = np.concatenate([[0.0], np.cumsum(1.5 * path.dW)])
-        np.testing.assert_allclose(path.values, expect, atol=1e-12)
+        np.testing.assert_array_equal(path.values, expect)
+
+    @settings(max_examples=80, deadline=None)
+    @given(theta=st.floats(0.5, 3.0), xi0=st.floats(-20.0, 20.0),
+           reps=st.sampled_from([None, 1, 2, 3, 4, 5]), steps=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cumsum_path_matches_generic_loop(self, theta, xi0, reps, steps, seed):
+        h = 1.0 / steps
+        shape = (steps,) if reps is None else (reps, steps)
+        dW = np.random.default_rng(seed).standard_normal(shape) * np.sqrt(h)
+        fast = euler_values(MULT, theta, xi0, h, dW)
+        loop = euler_values(GENERIC_MULT, theta, xi0, h, dW)
+        assert fast.shape == loop.shape == shape[:-1] + (steps + 1,)
+        assert np.array_equal(fast, loop)
 
     def test_zero_noise_zero_drift_constant(self):
         values = euler_values(MULT, 2.0, 3.7, 1.0 / 64, np.zeros(64))
@@ -88,6 +108,28 @@ class TestObserve:
         batch = observe_values(values, LEB, 8, 16)
         for r in range(5):
             np.testing.assert_allclose(batch[r], observe_values(values[r], LEB, 8, 16), atol=1e-14)
+
+    @pytest.mark.parametrize("block", ["rows_below", "rows_at", "rows_above", "default"])
+    @pytest.mark.parametrize("measure", [LEB, WeightMeasure.dirac(0.5),
+                                         WeightMeasure.mixture(0.4, [(0.2, 0.35), (0.7, 0.25)])],
+                             ids=["lebesgue", "dirac", "mixture"])
+    @pytest.mark.parametrize("reps", [None, 1, 7])
+    def test_row_blocks_match_whole_array(self, monkeypatch, block, measure, reps):
+        n, m = (4096, 32) if block == "default" else (12, 8)
+        row = n * m + 1
+        if block != "default":
+            # Rows shorter than, equal to and longer than one block.
+            size = {"rows_below": 3 * row + 1, "rows_at": row, "rows_above": row - 1}[block]
+            monkeypatch.setattr(models, "_BLOCK_DOUBLES", size)
+        rows = 1 if reps is None else reps
+        values = np.cumsum(np.random.default_rng(row + rows).standard_normal((rows, row)), axis=1)
+        w = mean_weights(measure, m)
+        expect = np.zeros((rows, n))
+        for p in range(m + 1):
+            expect += w[p] * values[:, p : p + (n - 1) * m + 1 : m]
+        if reps is None:
+            values, expect = values[0], expect[0]
+        assert np.array_equal(observe_values(values, measure, n, m), expect)
 
     def test_covariance_matches_exact_oracle(self):
         n, m, reps, theta = 8, 32, 10_000, 1.3
