@@ -195,8 +195,9 @@ def _read_observation_csv(text: str):
 
     edge_values are the block anchors followed by the terminal value; every
     block but the last holds k means and the last 1..k.  Raises ValueError
-    on any malformed row, non-finite value, ragged block or a row whose
-    anchor differs from the rest of its block.
+    on any malformed row, non-finite value, ragged block, a row whose
+    anchor differs from the rest of its block, or a terminal row that is
+    not the single last row with j = n and l = the block count.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -220,8 +221,11 @@ def _read_observation_csv(text: str):
             parts = ln.split(",")
             if len(parts) != 4:
                 raise ValueError(f"malformed observation row {ln!r}")
+            if terminal is not None:
+                raise ValueError(f"terminal row {terminal!r} must be the last row and the "
+                                 f"only terminal row; found {ln!r} after it")
             if parts[1] == "":
-                terminal = _finite(parts[3], ln)
+                terminal = ln
                 continue
             j, l = int(parts[0]), int(parts[2])
             x, anchor = _finite(parts[1], ln), _finite(parts[3], ln)
@@ -238,13 +242,18 @@ def _read_observation_csv(text: str):
             groups[-1][1].append(x)
         if terminal is None or not groups:
             raise ValueError("augmented CSV lacks the terminal row")
+        j, _, l, terminal_value = terminal.split(",")
+        if int(j) != count or int(l) != len(groups):
+            raise ValueError(f"terminal row {terminal!r} must have j = {count} (the mean count) "
+                             f"and l = {len(groups)} (the block count)")
         sizes = [len(means) for _, means in groups]
         k = sizes[0]
         if any(size != k for size in sizes[:-1]) or sizes[-1] > k:
             raise ValueError(f"ragged augmented blocks of sizes {sizes}: every block but "
                              f"the last must hold k={k} means and the last 1..{k}")
         obs = np.array([x for _, means in groups for x in means])
-        edge_values = np.array([anchor for anchor, _ in groups] + [terminal])
+        edge_values = np.array([anchor for anchor, _ in groups]
+                               + [_finite(terminal_value, terminal)])
         return "augmented", obs, edge_values, k
     raise ValueError(f"unrecognized observation CSV header {header!r}")
 

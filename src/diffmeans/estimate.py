@@ -10,6 +10,7 @@ returned with ``boundary_hit`` set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,12 @@ class _QuasiObjective:
         self.n = n
 
     def score(self, theta: float) -> float:
-        return float(np.sum(score_terms(theta, theta, self.model, self.anchors, self.sizes,
-                                        self.qforms)))
+        """The quasi-score at theta; a non-finite score raises ValueError."""
+        s = float(np.sum(score_terms(theta, theta, self.model, self.anchors, self.sizes,
+                                     self.qforms)))
+        if not math.isfinite(s):
+            raise ValueError(f"non-finite quasi-score {s!r} at theta = {theta!r}")
+        return s
 
     def slope(self, theta: float) -> float:
         # Derivative of the quadratic-form part only; the recentering part

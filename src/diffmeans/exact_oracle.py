@@ -6,10 +6,22 @@ where Sigma0 depends only on n and the weighting measure:
 
     Sigma0[i, j] = integral integral min((s+i)/n, (t+j)/n) dmu(s) dmu(t).
 
+With g = E min(s, t) under mu x mu and f = E s under mu, S = n Sigma0 has
+S[i, i] = i + g and S[i, j] = min(i, j) + f off the diagonal.  First
+differences of the means (u_0 = x_0, u_i = x_i - x_{i-1}, since X_0 = 0 is
+known) have the tridiagonal covariance T = D S D^T with diagonal
+(g, 2g - 2f + 1, ..., 2g - 2f + 1) and constant off-diagonal f - g, so
+
+    x^T Sigma0^{-1} x = n u^T T^{-1} u,
+    log det Sigma0 = log det T - n log n,
+
+and one O(n) LDL^T factorisation of T gives both.  A Dirac measure has
+f = g, so T is diagonal.  The coefficients and the sweep are computed here
+from the measure alone, independently of the quasi-likelihood code this
+oracle is used to check.
+
 This gives exact log-densities, exact likelihood ratios, and a closed-form
 maximum-likelihood estimator, used as ground truth by the experiments.
-The covariance is dense, so n is capped: this is a test fixture, not a
-production path.
 """
 
 from __future__ import annotations
@@ -17,38 +29,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .measures import WeightMeasure
 
 __all__ = ["GaussianObsModel", "build_base_cov", "log_density", "exact_llr", "exact_mle"]
 
-_N_CAP = 4096
-
 
 @dataclass(frozen=True)
 class GaussianObsModel:
-    """Observation covariance Sigma0 and its Cholesky factor for one (n, measure)."""
+    """LDL^T factors of the difference covariance T for one (n, measure).
+
+    ``sub[i]`` is the unit lower factor's entry L[i, i-1] (``sub[0]`` = 0)
+    and ``piv`` the diagonal of D; both have length n.
+    """
 
     n: int
     measure: WeightMeasure
-    base_cov: np.ndarray
-    chol: np.ndarray
-
-    def quad_form(self, x) -> float:
-        """x^T Sigma0^{-1} x via the cached triangular factor."""
-        return float(np.sum(self.quad_forms(np.asarray(x, dtype=float)[None, :])))
+    sub: np.ndarray
+    piv: np.ndarray
 
     def quad_forms(self, X: np.ndarray) -> np.ndarray:
-        """Quadratic forms of each row of X."""
+        """x^T Sigma0^{-1} x for each row x of the R x n array X."""
         X = np.asarray(X, dtype=float)
         if X.shape[1] != self.n:
             raise ValueError(f"observation length {X.shape[1]} != n = {self.n}")
-        y = solve_triangular(self.chol, X.T, lower=True)
-        return np.einsum("ir,ir->r", y, y)
+        # Step-major differences, so each sweep step works on one contiguous row.
+        u = np.empty((self.n, X.shape[0]))
+        u[0] = X[:, 0]
+        np.subtract(X[:, 1:], X[:, :-1], out=u[1:].T)
+        for i in range(1, self.n):
+            u[i] -= self.sub[i] * u[i - 1]
+        return self.n * np.einsum("ir,ir,i->r", u, u, 1.0 / self.piv)
 
     def log_det(self) -> float:
-        return float(2.0 * np.sum(np.log(np.diag(self.chol))))
+        """log det Sigma0."""
+        return float(np.sum(np.log(self.piv)) - self.n * np.log(self.n))
+
+    def dense_cov(self) -> np.ndarray:
+        """Sigma0 assembled entry by entry from its definition (a test reference)."""
+        min_moment, first_moment = _min_moments(self.measure)
+        idx = np.arange(self.n)
+        cov = np.minimum.outer(idx, idx) + first_moment
+        np.fill_diagonal(cov, idx + min_moment)
+        return cov / self.n
 
 
 def _min_moments(measure: WeightMeasure) -> tuple[float, float]:
@@ -71,39 +94,53 @@ def _min_moments(measure: WeightMeasure) -> tuple[float, float]:
 
 
 def build_base_cov(n: int, measure: WeightMeasure) -> GaussianObsModel:
-    """Assemble Sigma0 and factor it; n is capped (dense fixture)."""
+    """Factor the tridiagonal difference covariance T = n D Sigma0 D^T in O(n)."""
     if n < 1:
         raise ValueError("need n >= 1 observations")
-    if n > _N_CAP:
-        raise ValueError(f"oracle covariance capped at n = {_N_CAP}")
     min_moment, first_moment = _min_moments(measure)
-    idx = np.arange(n)
-    cov = np.minimum.outer(idx, idx) + first_moment
-    np.fill_diagonal(cov, idx + min_moment)
-    cov = cov / n
-    chol = np.linalg.cholesky(cov)
-    return GaussianObsModel(n=n, measure=measure, base_cov=cov, chol=chol)
+    diag = 2.0 * min_moment - 2.0 * first_moment + 1.0
+    off = first_moment - min_moment
+    sub = np.zeros(n)
+    piv = np.empty(n)
+    p = min_moment
+    for i in range(n):
+        if i:
+            sub[i] = off / p
+            p = diag - off * sub[i]
+        if not p > 0.0:
+            raise np.linalg.LinAlgError(f"pivot {i} of the difference covariance is {p!r}; "
+                                        "it is not positive definite")
+        piv[i] = p
+    return GaussianObsModel(n=n, measure=measure, sub=sub, piv=piv)
 
 
-def log_density(gm: GaussianObsModel, theta: float, x) -> float:
-    """Gaussian log-density of the observation vector under theta."""
+def _per_row(x, values: np.ndarray):
+    """A float for a single observation vector, else one value per row."""
+    return float(values[0]) if np.ndim(x) == 1 else values
+
+
+def log_density(gm: GaussianObsModel, theta: float, x):
+    """Gaussian log-density of each observation vector (row of x) under theta."""
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
-    q = gm.quad_form(x)
-    return -0.5 * (gm.n * np.log(2.0 * np.pi * theta * theta) + gm.log_det() + q / (theta * theta))
+    q = gm.quad_forms(np.atleast_2d(x))
+    return _per_row(x, -0.5 * (gm.n * np.log(2.0 * np.pi * theta * theta) + gm.log_det()
+                               + q / (theta * theta)))
 
 
-def exact_llr(gm: GaussianObsModel, x, theta0: float, theta1: float) -> float:
-    """Exact log-likelihood ratio log p_{theta1}(x) - log p_{theta0}(x)."""
+def exact_llr(gm: GaussianObsModel, x, theta0: float, theta1: float):
+    """Exact log-likelihood ratio log p_{theta1}(x) - log p_{theta0}(x), per row."""
     if theta0 <= 0.0 or theta1 <= 0.0:
         raise ValueError("thetas must be positive")
-    q = gm.quad_form(x)
-    return float(-gm.n * np.log(theta1 / theta0) - 0.5 * q * (theta1**-2 - theta0**-2))
+    q = gm.quad_forms(np.atleast_2d(x))
+    return _per_row(x, -gm.n * np.log(theta1 / theta0) - 0.5 * q * (theta1**-2 - theta0**-2))
 
 
-def exact_mle(gm: GaussianObsModel, x) -> float:
-    """Closed-form maximizer theta_hat = sqrt(x^T Sigma0^{-1} x / n)."""
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise ValueError("degenerate input: observations identically zero")
-    return float(np.sqrt(gm.quad_form(x) / gm.n))
+def exact_mle(gm: GaussianObsModel, x):
+    """Closed-form maximizer theta_hat = sqrt(x^T Sigma0^{-1} x / n), per row."""
+    rows = np.atleast_2d(x)
+    zero = ~np.any(rows, axis=1)
+    if np.any(zero):
+        raise ValueError(f"degenerate input: observation row(s) {np.flatnonzero(zero).tolist()} "
+                         "identically zero")
+    return _per_row(x, np.sqrt(gm.quad_forms(rows) / gm.n))

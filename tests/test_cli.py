@@ -170,6 +170,32 @@ class TestEstimateCommand:
         assert captured.out == ""
         assert "1,0.2,0,5.0" in captured.err
 
+    @pytest.mark.parametrize("text,row", [
+        # A data row after the terminal row.
+        ("j,xbar,l,anchor\n0,0.1,0,0.0\n1,0.2,0,0.0\n2,,1,0.3\n2,0.1,1,0.3\n", "2,,1,0.3"),
+        # A second terminal row.
+        ("j,xbar,l,anchor\n0,0.1,0,0.0\n1,0.2,0,0.0\n2,,1,0.3\n2,,1,7.0\n", "2,,1,0.3"),
+        # The terminal row's j is not n, or its l is not the block count.
+        ("j,xbar,l,anchor\n0,0.1,0,0.0\n1,0.2,0,0.0\n3,,1,0.3\n", "3,,1,0.3"),
+        ("j,xbar,l,anchor\n0,0.1,0,0.0\n1,0.2,0,0.0\n2,,2,0.3\n", "2,,2,0.3"),
+    ], ids=["row_after_terminal", "second_terminal", "wrong_j", "wrong_l"])
+    def test_misplaced_terminal_row_exits_2(self, text, row, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(["estimate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert row in captured.err
+
+    def test_non_finite_score_exits_2_without_output(self, monkeypatch, capsys):
+        # Finite means whose quadratic forms overflow to inf.
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "j,xbar\n0,1e200\n1,-1e200\n2,1e200\n3,-1e200\n"))
+        assert run_cli(["estimate", "--k", "fixed:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite quasi-score" in captured.err
+        assert "theta" in captured.err
+
     def test_non_finite_xi0_exits_2_before_reading(self, monkeypatch, capsys):
         stdin = io.StringIO("j,xbar\n0,0.1\n1,0.2\n2,0.2\n3,0.1\n")
         monkeypatch.setattr("sys.stdin", stdin)

@@ -136,7 +136,7 @@ class TestObserve:
         values, _ = simulate_values(MULT, theta, 0.0, n, m, seed=42, reps=reps)
         obs = observe_values(values, LEB, n, m)
         sample = np.cov(obs, rowvar=False)
-        target = theta**2 * build_base_cov(n, LEB).base_cov
+        target = theta**2 * build_base_cov(n, LEB).dense_cov()
         se = np.sqrt(
             (np.outer(np.diag(target), np.diag(target)) + target**2) / reps
         )
