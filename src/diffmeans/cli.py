@@ -183,8 +183,12 @@ def _write_sidecar(out: str, resolved: dict) -> None:
                                                    allow_nan=False) + "\n")
 
 
-def _finite(text: str, row: str) -> float:
-    x = float(text)
+def _field(text: str, row: str, kind=float):
+    """One field of an observation row as ``kind``; a malformed or non-finite value names the row."""
+    try:
+        x = kind(text)
+    except ValueError:
+        raise ValueError(f"malformed value {text!r} in observation row {row!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"non-finite value in observation row {row!r}")
     return x
@@ -207,9 +211,9 @@ def _read_observation_csv(text: str):
         obs = []
         for i, ln in enumerate(lines[1:]):
             parts = ln.split(",")
-            if len(parts) != 2 or int(parts[0]) != i:
+            if len(parts) != 2 or _field(parts[0], ln, int) != i:
                 raise ValueError(f"malformed observation row {ln!r}")
-            obs.append(_finite(parts[1], ln))
+            obs.append(_field(parts[1], ln))
         if not obs:
             raise ValueError("observation CSV holds no rows")
         return "means", np.asarray(obs)
@@ -227,8 +231,8 @@ def _read_observation_csv(text: str):
             if parts[1] == "":
                 terminal = ln
                 continue
-            j, l = int(parts[0]), int(parts[2])
-            x, anchor = _finite(parts[1], ln), _finite(parts[3], ln)
+            j, l = _field(parts[0], ln, int), _field(parts[2], ln, int)
+            x, anchor = _field(parts[1], ln), _field(parts[3], ln)
             if j != count:
                 raise ValueError(f"non-consecutive observation index at row {ln!r}")
             count += 1
@@ -243,7 +247,7 @@ def _read_observation_csv(text: str):
         if terminal is None or not groups:
             raise ValueError("augmented CSV lacks the terminal row")
         j, _, l, terminal_value = terminal.split(",")
-        if int(j) != count or int(l) != len(groups):
+        if _field(j, terminal, int) != count or _field(l, terminal, int) != len(groups):
             raise ValueError(f"terminal row {terminal!r} must have j = {count} (the mean count) "
                              f"and l = {len(groups)} (the block count)")
         sizes = [len(means) for _, means in groups]
@@ -253,7 +257,7 @@ def _read_observation_csv(text: str):
                              f"the last must hold k={k} means and the last 1..{k}")
         obs = np.array([x for _, means in groups for x in means])
         edge_values = np.array([anchor for anchor, _ in groups]
-                               + [_finite(terminal_value, terminal)])
+                               + [_field(terminal_value, terminal)])
         return "augmented", obs, edge_values, k
     raise ValueError(f"unrecognized observation CSV header {header!r}")
 

@@ -7,6 +7,16 @@ given (config, seed) regardless of worker count: every replication (or
 fixed-size chunk of cheap replications) owns a counter-based stream, and
 aggregation is order-independent.
 
+Replications run in chunks whose ranges depend on the workload alone,
+never on the worker count.  A chunk holds one path array, capped by
+_CHUNK_BUDGET.  The full-grid runs (expansion, information, estimator)
+split each grid into two chunks, so the Euler loop of a state-dependent
+model steps many rows at once; their per-row results do not depend on the
+split.  The other runs keep eight chunks per grid, because for them the
+partition is part of the output: chi2 keys one stream by each chunk's
+start, and coupling's BLAS products round differently with the row
+count.  tails keeps its eight cheap chunks as well.
+
   expansion    log-likelihood-ratio expansion against the exact Gaussian oracle
   information  mean observed information / variance of the score statistic
   coupling     decay rate of the frozen-coefficient Gaussian coupling error
@@ -58,8 +68,13 @@ _STREAM_TAG = {
     "estimator": 6,
 }
 
-# Memory budget for batched path simulation, in doubles.
+# Memory budget of a chunk's one path array, rows x (cells*m + 1), in
+# doubles (256 MiB).
 _CHUNK_BUDGET = 1 << 25
+
+# Chunks per grid (see the module docstring).
+_FULL_GRID_PIECES = 2
+_PIECES = 8
 
 
 def resolve_k(rule: str, n: int) -> int:
@@ -190,9 +205,9 @@ def merge_reports(reports: list[ExperimentReport]) -> ExperimentReport:
 # worker plumbing
 
 
-def _chunk_ranges(total: int, per_item_doubles: int) -> list[tuple[int, int]]:
+def _chunk_ranges(total: int, per_item_doubles: int, pieces: int = _PIECES) -> list[tuple[int, int]]:
     # Chunk size depends only on the workload, never on the worker count.
-    size = max(1, min(_CHUNK_BUDGET // max(1, per_item_doubles), math.ceil(total / 8)))
+    size = max(1, min(_CHUNK_BUDGET // max(1, per_item_doubles), math.ceil(total / pieces)))
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
@@ -254,7 +269,7 @@ def _coupling_chunk(args):
     model = get_model(model_name)
     measure = measure_from_spec(measure_spec)
     values, dW = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
-                                 stream=stream, rep_offset=r0, cells=k)
+                                 stream=stream, rep_offset=r0, cells=k, increments=True)
     obs = observe_values(values, measure, k, m)
     root_n = math.sqrt(n)
     R = obs.shape[0]
@@ -395,7 +410,8 @@ def _report(cfg: ExperimentConfig, rows: _Rows, t0: float) -> ExperimentReport:
 
 def _path_chunk_args(cfg, n, k, n_index, extra=()):
     stream = (_STREAM_TAG[cfg.experiment], n_index)
-    ranges = _chunk_ranges(cfg.replications, n * cfg.m + 1)
+    pieces = _PIECES if cfg.experiment == "coupling" else _FULL_GRID_PIECES
+    ranges = _chunk_ranges(cfg.replications, n * cfg.m + 1, pieces)
     return [
         (cfg.model, cfg.measure, cfg.theta0, cfg.xi0, n, cfg.m, k, cfg.seed, stream, r0, r1, *extra)
         for r0, r1 in ranges

@@ -126,7 +126,13 @@ def quadratic_forms(K: TriKMatrix, U: np.ndarray) -> np.ndarray:
     y = U.T.copy()
     for i in range(1, K.size):
         y[i] -= sub[i] * y[i - 1]
-    q = np.einsum("ir,ir->r", y, y / piv[:, None])
+    # One sequential sum per row, whatever the row count: an R = 1 call
+    # gives the bits of the same row in a batch.  An overflow yields inf,
+    # which the callers' finite checks refuse.
+    q = np.zeros(U.shape[0])
+    with np.errstate(over="ignore"):
+        for i in range(K.size):
+            q += y[i] * (y[i] / piv[i])
     return float(q[0]) if squeeze else q
 
 
@@ -174,7 +180,9 @@ def aug_summaries(obs, edge_values, k: int, coeffs: VCoefficients):
     U, U_t = aug_increments(obs, edge_values, k)
     R, L = U.shape[:2]
     q = quadratic_forms(augmented_block_cov(k, coeffs), U.reshape(R * L, k + 1)).reshape(R, L)
-    anchors = edge_values[:, :L]
+    # C order, as in obs_summaries: numpy then reduces each row of the
+    # per-block terms pairwise whatever R, as it does a single path.
+    anchors = np.ascontiguousarray(edge_values[:, :L])
     sizes = np.full(L, k + 1)
     if U_t is not None:
         q_t = quadratic_forms(augmented_block_cov(U_t.shape[1] - 1, coeffs), U_t)

@@ -1,8 +1,9 @@
 """Euler path simulation, local-mean observations, and block edges.
 
 Paths live on a fine grid with m substeps per sampling cell (step
-1/(n*m)) and retain their driving Brownian increments so that the
-Gaussian frozen-coefficient coupling can be built from the same noise.
+1/(n*m)).  The normals are drawn into the path array and the Euler step
+runs in place; a caller that builds the Gaussian frozen-coefficient
+coupling from the same noise asks for a copy of the Brownian increments.
 
 Randomness contract: every replication draws from its own counter-based
 stream keyed by (master seed, stream tag, replication index), so results
@@ -60,12 +61,15 @@ class PathGrid:
             raise ValueError("dW length must be n*m")
 
 
-def euler_values(model: DiffusionModel, theta: float, xi0: float, h: float, dW: np.ndarray) -> np.ndarray:
+def euler_values(model: DiffusionModel, theta: float, xi0: float, h: float, dW: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Euler recursion X_{t+h} = X_t + a(X_t, theta) dW + b(X_t) h, step h.
 
     ``dW`` may be a vector (one path) or a matrix (one path per row).
     Exposed separately from the simulators so tests can drive it with
-    hand-built increments (e.g. all zeros).
+    hand-built increments (e.g. all zeros).  ``out`` (rows x (steps + 1))
+    receives the path; ``dW`` may be its columns 1:, since step i reads
+    dW[:, i] before it writes column i + 1.
 
     For a scaled Brownian model (a free of x, b = 0) the path is one
     cumulative sum of (xi0, a dW): the same sequential additions as the
@@ -76,7 +80,7 @@ def euler_values(model: DiffusionModel, theta: float, xi0: float, h: float, dW: 
     if squeeze:
         dW = dW[None, :]
     reps, steps = dW.shape
-    values = np.empty((reps, steps + 1))
+    values = np.empty((reps, steps + 1)) if out is None else out
     if model.scaled_brownian:
         values[:, 0] = xi0
         np.multiply(model.a(xi0, theta), dW, out=values[:, 1:])
@@ -102,13 +106,16 @@ def simulate_values(
     stream: tuple[int, ...] = (),
     rep_offset: int = 0,
     cells: int | None = None,
+    increments: bool = False,
 ):
-    """Simulate Euler paths; returns (values, dW) arrays.
+    """Simulate Euler paths; returns (values, dW), dW None unless ``increments``.
 
     With ``reps`` None a single path is returned as vectors; otherwise one
     path per row, replication r drawing from stream (seed, *stream,
     rep_offset + r).  ``cells`` truncates simulation to the first cells of
-    the n-cell grid (same step 1/(n*m)); default all n.
+    the n-cell grid (same step 1/(n*m)); default all n.  The normals are
+    drawn into values[:, 1:] and stepped in place, so dW, when asked for,
+    is a copy taken before the Euler step.
     """
     model.check_theta(theta)
     if n < 1 or m < 2:
@@ -120,13 +127,14 @@ def simulate_values(
     h = 1.0 / (n * m)
     squeeze = reps is None
     n_reps = 1 if squeeze else reps
-    dW = np.empty((n_reps, steps))
+    values = np.empty((n_reps, steps + 1))
     for r in range(n_reps):
-        rep_rng(seed, *stream, rep_offset + r).standard_normal(out=dW[r])
-    dW *= np.sqrt(h)
-    values = euler_values(model, theta, xi0, h, dW)
+        rep_rng(seed, *stream, rep_offset + r).standard_normal(out=values[r, 1:])
+    values[:, 1:] *= np.sqrt(h)
+    dW = values[:, 1:].copy() if increments else None
+    euler_values(model, theta, xi0, h, values[:, 1:], out=values)
     if squeeze:
-        return values[0], dW[0]
+        return values[0], None if dW is None else dW[0]
     return values, dW
 
 
@@ -134,7 +142,7 @@ def simulate_path(model: DiffusionModel, theta: float, xi0: float, n: int, m: in
     """Simulate one path on the full [0,1] grid; deterministic given seed."""
     if n < 2:
         raise ValueError("need n >= 2 observation cells")
-    values, dW = simulate_values(model, theta, xi0, n, m, seed)
+    values, dW = simulate_values(model, theta, xi0, n, m, seed, increments=True)
     return PathGrid(n=n, m=m, values=values, dW=dW, theta_true=float(theta), seed=int(seed))
 
 

@@ -1,8 +1,14 @@
-import numpy as np
-import pytest
-from hypothesis import strategies as st
+import os
 
-from diffmeans.measures import WeightMeasure
+# One BLAS thread, set before numpy loads: the tests' small dense
+# factorizations only slow down when threads compete for busy cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from diffmeans.measures import WeightMeasure  # noqa: E402
 
 
 @st.composite

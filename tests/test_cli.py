@@ -152,6 +152,19 @@ class TestEstimateCommand:
         assert captured.out == ""
         assert row in captured.err
 
+    @pytest.mark.parametrize("text,row", [
+        ("j,xbar,l,anchor\n0,0.1,x,0.0\n1,,1,0.3\n", "0,0.1,x,0.0"),
+        ("j,xbar,l,anchor\n0,0.1,0,0.0\n1,,1,\n", "1,,1,"),
+        ("j,xbar\n0,abc\n1,0.2\n", "0,abc"),
+        ("j,xbar\nx,0.1\n1,0.2\n", "x,0.1"),
+    ], ids=["block_index", "terminal_anchor", "mean", "plain_index"])
+    def test_non_numeric_field_exits_2_naming_row(self, text, row, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(["estimate", "--k", "fixed:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"observation row {row!r}" in captured.err
+
     def test_ragged_augmented_blocks_exit_2(self, tmp_path):
         # Blocks of 2 and then 3 means: not a block split of any single k.
         bad = tmp_path / "ragged.csv"

@@ -1,11 +1,21 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffmeans.experiments import (
     ExperimentConfig,
+    _chunk_ranges,
+    _estimator_chunk,
+    _expansion_chunk,
+    _information_chunk,
+    _path_chunk_args,
+    _tails_chunk,
     default_verify_configs,
     merge_reports,
     report_to_files,
@@ -130,6 +140,73 @@ class TestReports:
         ]
         text = merge_reports([run_experiment(c, workers) for c in configs]).to_csv_text()
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SMALL_CSV_SHA256
+
+
+class TestChunkPartition:
+    """Chunk outputs do not depend on how the replications are split."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.sampled_from(["multiplicative_bm", "sine_scale", "cauchy_scale"]),
+           measure=st.sampled_from([{"kind": "lebesgue"}, {"kind": "atomic", "atoms": [[0.5, 1.0]]}]),
+           n=st.integers(2, 24), k=st.integers(1, 24), m=st.sampled_from([2, 4]),
+           reps=st.integers(1, 9), cuts=st.sets(st.integers(1, 8)),
+           theta0=st.floats(0.6, 2.5), xi0=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_any_split_matches_one_call(self, model, measure, n, k, m, reps, cuts, theta0, xi0, seed):
+        # k below n leaves a partial last block unless k divides n; pieces
+        # of one row are included.
+        k = min(k, n)
+        bounds = [0] + sorted(c for c in cuts if c < reps) + [reps]
+        pieces = list(zip(bounds[:-1], bounds[1:]))
+        head = (model, measure, theta0, xi0, n, m)
+        estimators = ("augmented", "means_only", "exact_mle") if k >= 2 else ("augmented",)
+        workers = [
+            (_information_chunk, lambda r0, r1: (*head, k, seed, (2, 0), r0, r1)),
+            (_estimator_chunk, lambda r0, r1: (*head, k, seed, (6, 0), r0, r1, estimators)),
+            (_tails_chunk, lambda r0, r1: (*head, seed, (5, 0), r0, r1)),
+        ]
+        if k >= 2:
+            workers.append((_expansion_chunk, lambda r0, r1: (*head, k, seed, (1, 0), r0, r1)))
+        for fn, args in workers:
+            whole = fn(args(0, reps))
+            parts = [fn(args(r0, r1)) for r0, r1 in pieces]
+            assert set(whole) == set(parts[0])
+            for key, value in whole.items():
+                np.testing.assert_array_equal(np.concatenate([p[key] for p in parts]), value,
+                                              err_msg=f"{fn.__name__} {key}")
+
+    def test_ranges_take_no_worker_count(self):
+        for fn in (_chunk_ranges, _path_chunk_args):
+            assert "workers" not in inspect.signature(fn).parameters
+
+    def test_chi2_ranges_unchanged(self):
+        # chi2 keys one stream by each chunk's start, so its eight ranges
+        # are part of its output.
+        assert _chunk_ranges(100_000, 2 * 6**2) == [(r0, r0 + 12_500) for r0 in range(0, 100_000, 12_500)]
+
+    def test_default_suite_partition(self):
+        # Two chunks per grid for the full-grid runs, unless the memory
+        # budget caps them (expansion at n = 4096); eight per grid for
+        # coupling, whose BLAS products round differently with the row count.
+        counts = {}
+        for cfg in default_verify_configs():
+            if cfg.experiment in ("chi2", "tails"):
+                continue
+            counts[cfg.run_id] = [len(_path_chunk_args(cfg, n, resolve_k(cfg.k_rule, n), i))
+                                  for i, n in enumerate(cfg.n_list)]
+        assert counts == {
+            "expansion": [2, 2, 8],
+            "information_k1": [2], "information_k10": [2], "information_log2": [2],
+            "coupling": [8] * 7,
+            "estimator_augmented": [2], "estimator_means_only": [2], "estimator_mixed_normal": [2],
+        }
+        for cfg in default_verify_configs():
+            if cfg.experiment in ("chi2", "tails"):
+                continue
+            for i, n in enumerate(cfg.n_list):
+                args = _path_chunk_args(cfg, n, resolve_k(cfg.k_rule, n), i)
+                ranges = [(a[9], a[10]) for a in args]
+                assert ranges[0][0] == 0 and ranges[-1][1] == cfg.replications
+                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
 
 class TestExpansion:

@@ -59,12 +59,24 @@ class TestEuler:
         assert not np.array_equal(a.values, c.values)
 
     def test_batched_rows_match_single_paths(self):
-        values, dW = simulate_values(SINE, 1.2, 0.5, n=4, m=8, seed=5, reps=3)
+        values, dW = simulate_values(SINE, 1.2, 0.5, n=4, m=8, seed=5, reps=3, increments=True)
         for r in range(3):
             single_v, single_w = simulate_values(SINE, 1.2, 0.5, n=4, m=8, seed=5,
-                                                 reps=1, rep_offset=r)
+                                                 reps=1, rep_offset=r, increments=True)
             np.testing.assert_array_equal(values[r], single_v[0])
             np.testing.assert_array_equal(dW[r], single_w[0])
+
+    @pytest.mark.parametrize("model", [MULT, SINE], ids=["cumsum", "loop"])
+    @pytest.mark.parametrize("reps", [None, 3])
+    def test_increments_only_on_request(self, model, reps):
+        # The in-place step equals a step out of place over the returned
+        # increments, which are the ones drawn before the step.
+        values, dW = simulate_values(model, 1.2, 0.5, n=4, m=8, seed=5, reps=reps)
+        assert dW is None
+        again, increments = simulate_values(model, 1.2, 0.5, n=4, m=8, seed=5, reps=reps,
+                                            increments=True)
+        np.testing.assert_array_equal(again, values)
+        np.testing.assert_array_equal(euler_values(model, 1.2, 0.5, 1.0 / 32, increments), values)
 
     def test_strong_error_halves_per_substep_doubling(self):
         # Coarse path driven by pair-sums of the fine increments: the gap at
@@ -208,7 +220,8 @@ class TestGaussianCoupling:
         # Vectors coupled at a fixed anchor are Gaussian with covariance
         # a^2(anchor) K; checked entrywise by Monte Carlo.
         n, m, k, reps, theta = 64, 32, 4, 8000, 1.0
-        values, dW = simulate_values(SINE, theta, 0.0, n, m, seed=31, reps=reps, cells=k)
+        values, dW = simulate_values(SINE, theta, 0.0, n, m, seed=31, reps=reps, cells=k,
+                                     increments=True)
         tilde = coupled_increments_values(values, dW, n, m, k, 0, LEB, SINE, theta)
         a2 = SINE.a(0.0, theta) ** 2
         target = a2 * augmented_block_cov(k, v_coefficients(LEB)).dense()
@@ -221,7 +234,8 @@ class TestGaussianCoupling:
         k, m, reps = 4, 16, 500
         errs = []
         for n in (64, 512):
-            values, dW = simulate_values(SINE, 1.0, 0.0, n, m, seed=8, reps=reps, cells=k)
+            values, dW = simulate_values(SINE, 1.0, 0.0, n, m, seed=8, reps=reps, cells=k,
+                                         increments=True)
             obs = observe_values(values, LEB, k, m)
             U = np.empty((reps, k + 1))
             U[:, 0] = obs[:, 0] - values[:, 0]
