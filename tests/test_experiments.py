@@ -159,14 +159,14 @@ class TestChunkPartition:
         pieces = list(zip(bounds[:-1], bounds[1:]))
         head = (model, measure, theta0, xi0, n, m)
         estimators = ("augmented", "means_only", "exact_mle") if k >= 2 else ("augmented",)
-        workers = [
+        chunk_fns = [
             (_information_chunk, lambda r0, r1: (*head, k, seed, (2, 0), r0, r1)),
             (_estimator_chunk, lambda r0, r1: (*head, k, seed, (6, 0), r0, r1, estimators)),
             (_tails_chunk, lambda r0, r1: (*head, seed, (5, 0), r0, r1)),
         ]
         if k >= 2:
-            workers.append((_expansion_chunk, lambda r0, r1: (*head, k, seed, (1, 0), r0, r1)))
-        for fn, args in workers:
+            chunk_fns.append((_expansion_chunk, lambda r0, r1: (*head, k, seed, (1, 0), r0, r1)))
+        for fn, args in chunk_fns:
             whole = fn(args(0, reps))
             parts = [fn(args(r0, r1)) for r0, r1 in pieces]
             assert set(whole) == set(parts[0])
@@ -191,22 +191,17 @@ class TestChunkPartition:
         for cfg in default_verify_configs():
             if cfg.experiment in ("chi2", "tails"):
                 continue
-            counts[cfg.run_id] = [len(_path_chunk_args(cfg, n, resolve_k(cfg.k_rule, n), i))
-                                  for i, n in enumerate(cfg.n_list)]
+            for i, n in enumerate(cfg.n_list):
+                args = _path_chunk_args(cfg, n, resolve_k(cfg.k_rule, n), i)
+                starts, stops = [a[9] for a in args], [a[10] for a in args]
+                assert starts == [0] + stops[:-1] and stops[-1] == cfg.replications
+                counts.setdefault(cfg.run_id, []).append(len(args))
         assert counts == {
             "expansion": [2, 2, 8],
             "information_k1": [2], "information_k10": [2], "information_log2": [2],
             "coupling": [8] * 7,
             "estimator_augmented": [2], "estimator_means_only": [2], "estimator_mixed_normal": [2],
         }
-        for cfg in default_verify_configs():
-            if cfg.experiment in ("chi2", "tails"):
-                continue
-            for i, n in enumerate(cfg.n_list):
-                args = _path_chunk_args(cfg, n, resolve_k(cfg.k_rule, n), i)
-                ranges = [(a[9], a[10]) for a in args]
-                assert ranges[0][0] == 0 and ranges[-1][1] == cfg.replications
-                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
 
 class TestExpansion:
