@@ -7,13 +7,9 @@ from .experiments import ExperimentConfig, ExperimentReport, default_verify_conf
 from .measures import (
     VCoefficients,
     WeightMeasure,
-    cum_mass,
-    local_mean,
     measure_from_spec,
     measure_to_spec,
-    tail_mass,
     v_coefficients,
-    v_coefficients_quadrature,
 )
 from .models import REGISTRY, DiffusionModel, get_model, info_integrand, path_information
 from .quasi_score import (
@@ -25,14 +21,7 @@ from .quasi_score import (
     obs_summaries,
     quadratic_forms,
     score_terms,
-    solve_tridiagonal,
 )
-from .simulate import (
-    PathGrid,
-    block_edges,
-    gaussian_coupled_increments,
-    observe,
-    simulate_path,
-)
+from .simulate import block_edges, observe_values, simulate_values
 
 __version__ = "0.1.0"

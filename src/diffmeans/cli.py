@@ -33,7 +33,7 @@ from .experiments import (
 )
 from .measures import measure_from_spec, measure_to_spec, v_coefficients
 from .models import get_model
-from .simulate import block_edges, observe, path_to_csv, simulate_path
+from .simulate import block_edges, observe_values, path_to_csv, simulate_values
 
 
 def _parse_measure(value) -> dict:
@@ -147,11 +147,13 @@ def cmd_simulate(args) -> int:
     augmented = bool(getattr(args, "augmented", False) or file_cfg.get("augmented", False))
     out = _opt(args, file_cfg, "out", "-")
 
-    path = simulate_path(model, theta, xi0, n, m, seed)
-    obs = observe(path, measure)
+    if n < 2:
+        raise ValueError("need n >= 2 observation cells")
     dump = _opt(args, file_cfg, "dump_path")
+    values, dW = simulate_values(model, theta, xi0, n, m, seed, reps=1, increments=bool(dump))
+    obs = observe_values(values, measure, n, m)[0]
     if dump:
-        _write_text(dump, path_to_csv(path))
+        _write_text(dump, path_to_csv(values[0], dW[0]))
     resolved = {
         "model": model.name, "measure": measure_to_spec(measure), "theta": theta,
         "n": n, "m": m, "seed": seed, "xi0": xi0, "augmented": augmented,
@@ -164,7 +166,7 @@ def cmd_simulate(args) -> int:
     k = resolve_k(_opt(args, file_cfg, "k", "log2"), n)
     resolved["k"] = k
     edges = block_edges(n, k)
-    edge_values = path.values[edges * m]
+    edge_values = values[0, edges * m]
     lines = ["j,xbar,l,anchor"]
     for l in range(edges.size - 1):
         for j in range(edges[l], edges[l + 1]):
@@ -301,6 +303,20 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+# verify option -> (ExperimentConfig field, conversion)
+_VERIFY_OVERRIDES = {
+    "model": ("model", str),
+    "measure": ("measure", _parse_measure),
+    "theta0": ("theta0", float),
+    "h": ("h", float),
+    "n": ("n_list", lambda v: tuple(v) if isinstance(v, (list, tuple)) else (int(v),)),
+    "k": ("k_rule", str),
+    "M": ("replications", int),
+    "m": ("m", int),
+    "xi0": ("xi0", float),
+}
+
+
 def cmd_verify(args) -> int:
     file_cfg = _load_config_file(args.config)
     selected = _opt(args, file_cfg, "experiment") or ["all"]
@@ -315,38 +331,15 @@ def cmd_verify(args) -> int:
 
     # Any of these fields replaces the default suite by bare per-experiment
     # configs; the seed alone reseeds the default suite.
-    override_keys = ("model", "measure", "theta0", "h", "n", "k", "M", "m", "xi0")
-    overrides = {key: _opt(args, file_cfg, key) for key in override_keys}
-    has_overrides = any(v is not None for v in overrides.values())
     seed = int(_opt(args, file_cfg, "seed", DEFAULT_SEED))
+    overrides = {field: convert(value) for key, (field, convert) in _VERIFY_OVERRIDES.items()
+                 if (value := _opt(args, file_cfg, key)) is not None}
 
-    if has_overrides:
+    if overrides:
+        if "tolerances" in file_cfg:
+            overrides["tolerances"] = dict(file_cfg["tolerances"])
         names = [e for e in selected if e != "all"] or sorted(EXPERIMENTS)
-        configs = []
-        for name in names:
-            fields = {"experiment": name, "seed": seed}
-            if overrides["model"] is not None:
-                fields["model"] = overrides["model"]
-            if overrides["measure"] is not None:
-                fields["measure"] = _parse_measure(overrides["measure"])
-            if overrides["theta0"] is not None:
-                fields["theta0"] = float(overrides["theta0"])
-            if overrides["h"] is not None:
-                fields["h"] = float(overrides["h"])
-            if overrides["n"] is not None:
-                n_val = overrides["n"]
-                fields["n_list"] = tuple(n_val) if isinstance(n_val, (list, tuple)) else (int(n_val),)
-            if overrides["k"] is not None:
-                fields["k_rule"] = str(overrides["k"])
-            if overrides["M"] is not None:
-                fields["replications"] = int(overrides["M"])
-            if overrides["m"] is not None:
-                fields["m"] = int(overrides["m"])
-            if overrides["xi0"] is not None:
-                fields["xi0"] = float(overrides["xi0"])
-            if "tolerances" in file_cfg:
-                fields["tolerances"] = dict(file_cfg["tolerances"])
-            configs.append(ExperimentConfig(**fields))
+        configs = [ExperimentConfig(experiment=name, seed=seed, **overrides) for name in names]
     else:
         configs = default_verify_configs(seed)
         if "all" not in selected:

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .estimate import _QuasiObjective, _solve
-from .exact_oracle import build_base_cov
+from .exact_oracle import build_base_cov, exact_llr, exact_mle
 from .measures import measure_from_spec, v_coefficients
 from .models import get_model, path_information
 from .quasi_score import aug_summaries, info_terms, obs_summaries, score_terms
@@ -423,7 +423,7 @@ def run_expansion(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     t0 = time.perf_counter()
     rows = _Rows(cfg)
     M = cfg.replications
-    has_oracle = cfg.model == "multiplicative_bm"
+    has_oracle = get_model(cfg.model).scaled_brownian
     measure = measure_from_spec(cfg.measure)
     residual_track = []
     for i, n in enumerate(cfg.n_list):
@@ -443,11 +443,12 @@ def run_expansion(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             rows.add(n, k, M, "var_score_stat", v_N, se_vN,
                      (k - 1) / k * info_budget, 0.25 * (k - 1) / k * info_budget)
             continue
+        # obs stays bound until the next grid's gather replaces it.  Freed
+        # right after the oracle, it left the heap fragmented for the next
+        # grid and raised the peak RSS of repeated runs by one chunk of means.
         obs = _gather(results, "obs")
-        gm = build_base_cov(n, measure)
-        q = gm.quad_forms(obs)
         theta1 = cfg.theta0 + cfg.h / math.sqrt(n)
-        log_z = -n * math.log(theta1 / cfg.theta0) - 0.5 * q * (theta1**-2 - cfg.theta0**-2)
+        log_z = exact_llr(build_base_cov(n, measure), obs, cfg.theta0, theta1)
         mean_z, se_z = _mean_se(log_z)
         var_z, se_vz = _var_se(log_z)
         target_mean = -0.5 * cfg.h**2 * info_budget
@@ -504,7 +505,7 @@ def run_coupling(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         worst = max(worst, float(np.max(err)))
         rows.add(n, k, M, "coupling_err_mean", mean_err, se_err, 0.0, 1.0)
         mean_errs.append(mean_err)
-    if cfg.model == "multiplicative_bm":
+    if get_model(cfg.model).scaled_brownian:
         rows.add(0, 0, M, "coupling_err_max", worst, None, 0.0, 1e-12)
     elif len(cfg.n_list) >= 2:
         slope, _, _, slope_se = _ols(np.log(np.asarray(cfg.n_list, dtype=float)), np.log(mean_errs))
@@ -557,7 +558,7 @@ def run_density_tails(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     t = np.linspace(lo, hi, 40)
     y = np.log(np.array([np.mean(r2 > ti) for ti in t]))
     slope, _, r2_fit, slope_se = _ols(t, y)
-    r2_target = (0.995, 0.005) if cfg.model == "multiplicative_bm" else (0.975, 0.025)
+    r2_target = (0.995, 0.005) if get_model(cfg.model).scaled_brownian else (0.975, 0.025)
     rows.add(n, 0, M, "exceedance_fit_r2", r2_fit, None, *r2_target)
     rows.add(n, 0, M, "exceedance_fit_slope", slope, slope_se, -1.0005, 1.0)
     return _report(cfg, rows, t0)
@@ -600,9 +601,7 @@ def run_estimator(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
                 target = float(np.mean(1.0 / info_hat))
             _estimator_rows(rows, n, k, M, "means_only", z, info_hat, target, 0.25 * target)
         if "exact_mle" in cfg.estimators:
-            gm = build_base_cov(n, measure)
-            q = gm.quad_forms(_gather(results, "obs"))
-            z = root_n * (np.sqrt(q / n) - theta0)
+            z = root_n * (exact_mle(build_base_cov(n, measure), _gather(results, "obs")) - theta0)
             var_z, se_vz = _var_se(z)
             target = theta0**2 / 2.0
             rows.add(n, k, M, "var_sqrtn_err_exact_mle", var_z, se_vz, target, 0.20 * target)

@@ -15,6 +15,7 @@ are needed everywhere downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +23,7 @@ import numpy as np
 __all__ = [
     "WeightMeasure",
     "VCoefficients",
-    "tail_mass",
-    "cum_mass",
     "v_coefficients",
-    "v_coefficients_quadrature",
-    "local_mean",
     "mean_weights",
     "measure_from_spec",
     "measure_to_spec",
@@ -68,10 +65,16 @@ class WeightMeasure:
         if self.kind not in ("lebesgue", "atomic", "mixture"):
             raise ValueError(f"unknown measure kind {self.kind!r}")
         lam = self.lebesgue_weight
-        if lam < 0.0 or lam > 1.0:
-            raise ValueError(f"lebesgue weight {lam} outside [0,1]")
         positions = [a for a, _ in self.atoms]
         weights = [w for _, w in self.atoms]
+        # NaN passes every comparison below, so non-finite values go first.
+        for name, values in (("lebesgue weight", [lam]), ("atom position", positions),
+                             ("atom weight", weights)):
+            for v in values:
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} {v} is not a finite number")
+        if lam < 0.0 or lam > 1.0:
+            raise ValueError(f"lebesgue weight {lam} outside [0,1]")
         if any(w <= 0.0 for w in weights):
             raise ValueError("atom weights must be positive")
         if any(a < 0.0 or a > 1.0 for a in positions):
@@ -103,29 +106,6 @@ class WeightMeasure:
             lebesgue_weight=float(lebesgue_weight),
             atoms=tuple((float(a), float(w)) for a, w in atoms),
         )
-
-
-def _check_point(s: float) -> float:
-    s = float(s)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"evaluation point {s} outside [0,1]")
-    return s
-
-
-def tail_mass(measure: WeightMeasure, s: float) -> float:
-    """Mass of the closed upper interval, mu([s,1]); atoms at s count in."""
-    s = _check_point(s)
-    mass = measure.lebesgue_weight * (1.0 - s)
-    mass += sum(w for a, w in measure.atoms if a >= s)
-    return mass
-
-
-def cum_mass(measure: WeightMeasure, s: float) -> float:
-    """Mass of the closed lower interval, mu([0,s]); atoms at s count in."""
-    s = _check_point(s)
-    mass = measure.lebesgue_weight * s
-    mass += sum(w for a, w in measure.atoms if a <= s)
-    return mass
 
 
 def _segments(measure: WeightMeasure):
@@ -168,42 +148,8 @@ def v_coefficients(measure: WeightMeasure) -> VCoefficients:
     return VCoefficients(v1=v1, v2=v2, c=c)
 
 
-_GAUSS3_NODES = (-np.sqrt(0.6), 0.0, np.sqrt(0.6))
-_GAUSS3_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
-
-
-def v_coefficients_quadrature(measure: WeightMeasure, points: int = 10_000) -> VCoefficients:
-    """Numeric quadrature of the three integrals from pointwise mass evaluations.
-
-    The domain is split at atom positions (the integrands jump there) and each
-    piece gets a composite 3-point Gauss rule; nodes are strictly interior, so
-    the closed-interval convention at atoms never enters.
-    """
-    nodes, weights = [], []
-    for a, b, _, _ in _segments(measure):
-        n_sub = max(1, int(round(points * (b - a) / 3.0)))
-        edges = np.linspace(a, b, n_sub + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        for g_node, g_weight in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
-            nodes.append(mid + g_node * half)
-            weights.append(g_weight * half)
-    s = np.concatenate(nodes)
-    w = np.concatenate(weights)
-    t = measure.lebesgue_weight * (1.0 - s)
-    u = measure.lebesgue_weight * s
-    for a, wa in measure.atoms:
-        t = t + wa * (a >= s)
-        u = u + wa * (a <= s)
-    return VCoefficients(
-        v1=float(w @ (t * t)),
-        v2=float(w @ (u * u)),
-        c=float(w @ (t * u)),
-    )
-
-
 def mean_weights(measure: WeightMeasure, m: int) -> np.ndarray:
-    """Quadrature weights of length m+1 so that local_mean(x) = weights @ x.
+    """Quadrature weights of length m+1: weights @ x is the local mean of a cell's m+1 values.
 
     The Lebesgue part is the trapezoid rule on the uniform grid; each atom is
     split linearly between its two neighbouring grid points.  Weights are
@@ -224,17 +170,6 @@ def mean_weights(measure: WeightMeasure, m: int) -> np.ndarray:
         w[lo] += wa * (1.0 - frac)
         w[lo + 1] += wa * frac
     return w
-
-
-def local_mean(segment, measure: WeightMeasure) -> float:
-    """Integrate a path segment against the measure, the segment rescaled to [0,1].
-
-    ``segment`` holds values on a uniform grid including both endpoints.
-    """
-    x = np.asarray(segment, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("segment must hold at least 2 grid points")
-    return float(mean_weights(measure, x.size - 1) @ x)
 
 
 def measure_from_spec(spec: dict) -> WeightMeasure:

@@ -149,20 +149,16 @@ def info_integrand(model: DiffusionModel, x, theta: float):
 def path_information(model: DiffusionModel, values, theta: float):
     """Trapezoid approximation of 2 * int_0^1 ((da/dtheta)/a)^2(X_s, theta) ds.
 
-    ``values`` is one path on a uniform grid of [0,1] (a float comes back)
-    or one path per row (an array of rows comes back).  Rows are integrated
-    in cache-sized blocks, each with numpy's own summation per row.
+    ``values`` holds one path per row on a uniform grid of [0,1]; one
+    value per row comes back.  Rows are integrated in cache-sized blocks,
+    each with numpy's own summation per row.
     """
-    values = np.asarray(values, dtype=float)
-    squeeze = values.ndim == 1
-    if squeeze:
-        values = values[None, :]
     dx = 1.0 / (values.shape[1] - 1)
     out = np.empty(values.shape[0])
     for rows in row_blocks(values):
         y = info_integrand(model, values[rows], theta)
         out[rows] = 2.0 * np.trapezoid(y, dx=dx, axis=1)
-    return float(out[0]) if squeeze else out
+    return out
 
 
 def row_blocks(values: np.ndarray):

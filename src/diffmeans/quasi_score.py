@@ -13,7 +13,7 @@ increments have covariance a^2 K_int with constant diagonal v1+v2, and the
 anchor value is replaced by the last mean of the previous block.
 
 Data enter only as block summaries (anchors R x B, sizes B, qforms R x B):
-one row per path, one column per block.  A single path is the case R = 1.
+one row per path, one column per block.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "augmented_block_cov",
     "interior_block_cov",
     "factor_tridiagonal",
-    "solve_tridiagonal",
     "quadratic_forms",
     "aug_increments",
     "aug_summaries",
@@ -48,13 +47,6 @@ class TriKMatrix:
     size: int
     diag: np.ndarray
     offdiag: float
-
-    def dense(self) -> np.ndarray:
-        out = np.diag(np.asarray(self.diag, dtype=float))
-        idx = np.arange(self.size - 1)
-        out[idx, idx + 1] = self.offdiag
-        out[idx + 1, idx] = self.offdiag
-        return out
 
 
 def augmented_block_cov(k: int, coeffs: VCoefficients) -> TriKMatrix:
@@ -96,30 +88,8 @@ def factor_tridiagonal(K: TriKMatrix):
     return sub, piv
 
 
-def solve_tridiagonal(K: TriKMatrix, rhs) -> np.ndarray:
-    """Solve K x = rhs by the Thomas recursion on the LDL^T factors."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != K.size:
-        raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {K.size}")
-    sub, piv = factor_tridiagonal(K)
-    y = rhs.copy()
-    for i in range(1, K.size):
-        y[i] -= sub[i] * y[i - 1]
-    if y.ndim == 1:
-        x = y / piv
-    else:
-        x = y / piv[:, None]
-    for i in range(K.size - 2, -1, -1):
-        x[i] -= sub[i + 1] * x[i + 1]
-    return x
-
-
 def quadratic_forms(K: TriKMatrix, U: np.ndarray) -> np.ndarray:
-    """u K^{-1} u^T for each row of U (a float for one vector), via one factorization."""
-    U = np.asarray(U, dtype=float)
-    squeeze = U.ndim == 1
-    if squeeze:
-        U = U[None, :]
+    """u K^{-1} u^T for each row u of U, via one factorization."""
     if U.shape[1] != K.size:
         raise ValueError(f"vectors of length {U.shape[1]} against matrix of size {K.size}")
     sub, piv = factor_tridiagonal(K)
@@ -133,7 +103,7 @@ def quadratic_forms(K: TriKMatrix, U: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         for i in range(K.size):
             q += y[i] * (y[i] / piv[i])
-    return float(q[0]) if squeeze else q
+    return q
 
 
 def aug_increments(obs, edge_values, k: int):

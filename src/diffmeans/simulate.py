@@ -1,9 +1,10 @@
 """Euler path simulation, local-mean observations, and block edges.
 
 Paths live on a fine grid with m substeps per sampling cell (step
-1/(n*m)).  The normals are drawn into the path array and the Euler step
-runs in place; a caller that builds the Gaussian frozen-coefficient
-coupling from the same noise asks for a copy of the Brownian increments.
+1/(n*m)), one path per row of an R x (n*m + 1) array.  The normals are
+drawn into the path array and the Euler step runs in place; a caller
+that builds the Gaussian frozen-coefficient coupling from the same noise
+asks for a copy of the Brownian increments.
 
 Randomness contract: every replication draws from its own counter-based
 stream keyed by (master seed, stream tag, replication index), so results
@@ -12,23 +13,17 @@ do not depend on how replications are batched or distributed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .measures import WeightMeasure, mean_weights
 from .models import DiffusionModel, row_blocks
 
 __all__ = [
-    "PathGrid",
     "rep_rng",
     "euler_values",
-    "simulate_path",
     "simulate_values",
-    "observe",
     "observe_values",
     "block_edges",
-    "gaussian_coupled_increments",
     "coupled_increments_values",
     "path_to_csv",
 ]
@@ -43,55 +38,33 @@ def rep_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-@dataclass(frozen=True)
-class PathGrid:
-    """A simulated path on the fine grid plus its Brownian increments."""
-
-    n: int
-    m: int
-    values: np.ndarray
-    dW: np.ndarray
-    theta_true: float
-    seed: int
-
-    def __post_init__(self):
-        if self.values.shape != (self.n * self.m + 1,):
-            raise ValueError("values length must be n*m + 1")
-        if self.dW.shape != (self.n * self.m,):
-            raise ValueError("dW length must be n*m")
-
-
 def euler_values(model: DiffusionModel, theta: float, xi0: float, h: float, dW: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Euler recursion X_{t+h} = X_t + a(X_t, theta) dW + b(X_t) h, step h.
 
-    ``dW`` may be a vector (one path) or a matrix (one path per row).
-    Exposed separately from the simulators so tests can drive it with
-    hand-built increments (e.g. all zeros).  ``out`` (rows x (steps + 1))
-    receives the path; ``dW`` may be its columns 1:, since step i reads
-    dW[:, i] before it writes column i + 1.
+    ``dW`` holds one path's increments per row.  Exposed separately from
+    the simulators so tests can drive it with hand-built increments (e.g.
+    all zeros).  ``out`` (rows x (steps + 1)) receives the paths; ``dW``
+    may be its columns 1:, since step i reads dW[:, i] before it writes
+    column i + 1.
 
     For a scaled Brownian model (a free of x, b = 0) the path is one
     cumulative sum of (xi0, a dW): the same sequential additions as the
     recursion, whose drift term only adds +0.0, so the bits agree.
     """
-    dW = np.asarray(dW, dtype=float)
-    squeeze = dW.ndim == 1
-    if squeeze:
-        dW = dW[None, :]
     reps, steps = dW.shape
     values = np.empty((reps, steps + 1)) if out is None else out
     if model.scaled_brownian:
         values[:, 0] = xi0
         np.multiply(model.a(xi0, theta), dW, out=values[:, 1:])
         np.cumsum(values, axis=1, out=values)
-        return values[0] if squeeze else values
+        return values
     x = np.full(reps, float(xi0))
     values[:, 0] = x
     for i in range(steps):
         x = x + model.a(x, theta) * dW[:, i] + model.b(x) * h
         values[:, i + 1] = x
-    return values[0] if squeeze else values
+    return values
 
 
 def simulate_values(
@@ -101,7 +74,7 @@ def simulate_values(
     n: int,
     m: int,
     seed: int,
-    reps: int | None = None,
+    reps: int,
     *,
     stream: tuple[int, ...] = (),
     rep_offset: int = 0,
@@ -110,8 +83,7 @@ def simulate_values(
 ):
     """Simulate Euler paths; returns (values, dW), dW None unless ``increments``.
 
-    With ``reps`` None a single path is returned as vectors; otherwise one
-    path per row, replication r drawing from stream (seed, *stream,
+    One path per row, replication r drawing from stream (seed, *stream,
     rep_offset + r).  ``cells`` truncates simulation to the first cells of
     the n-cell grid (same step 1/(n*m)); default all n.  The normals are
     drawn into values[:, 1:] and stepped in place, so dW, when asked for,
@@ -125,25 +97,13 @@ def simulate_values(
         raise ValueError("cells must lie in [1, n]")
     steps = n_cells * m
     h = 1.0 / (n * m)
-    squeeze = reps is None
-    n_reps = 1 if squeeze else reps
-    values = np.empty((n_reps, steps + 1))
-    for r in range(n_reps):
+    values = np.empty((reps, steps + 1))
+    for r in range(reps):
         rep_rng(seed, *stream, rep_offset + r).standard_normal(out=values[r, 1:])
     values[:, 1:] *= np.sqrt(h)
     dW = values[:, 1:].copy() if increments else None
     euler_values(model, theta, xi0, h, values[:, 1:], out=values)
-    if squeeze:
-        return values[0], None if dW is None else dW[0]
     return values, dW
-
-
-def simulate_path(model: DiffusionModel, theta: float, xi0: float, n: int, m: int, seed: int) -> PathGrid:
-    """Simulate one path on the full [0,1] grid; deterministic given seed."""
-    if n < 2:
-        raise ValueError("need n >= 2 observation cells")
-    values, dW = simulate_values(model, theta, xi0, n, m, seed, increments=True)
-    return PathGrid(n=n, m=m, values=values, dW=dW, theta_true=float(theta), seed=int(seed))
 
 
 def observe_values(values: np.ndarray, measure: WeightMeasure, n: int, m: int) -> np.ndarray:
@@ -152,22 +112,13 @@ def observe_values(values: np.ndarray, measure: WeightMeasure, n: int, m: int) -
     The m + 1 weighted strided passes run over cache-sized row blocks;
     each element sees the same arithmetic in the same order.
     """
-    values = np.asarray(values, dtype=float)
-    squeeze = values.ndim == 1
-    if squeeze:
-        values = values[None, :]
     w = mean_weights(measure, m)
     obs = np.zeros((values.shape[0], n))
     for rows in row_blocks(values):
         block, out = values[rows], obs[rows]
         for p in range(m + 1):
             out += w[p] * block[:, p : p + (n - 1) * m + 1 : m]
-    return obs[0] if squeeze else obs
-
-
-def observe(path: PathGrid, measure: WeightMeasure) -> np.ndarray:
-    """The n local means of one path."""
-    return observe_values(path.values, measure, path.n, path.m)
+    return obs
 
 
 def block_edges(n: int, k: int) -> np.ndarray:
@@ -203,12 +154,6 @@ def coupled_increments_values(values, dW, n: int, m: int, k: int, start: int,
     Built from the same Brownian increments as the path, with the diffusion
     coefficient frozen at the block anchor; one row per path.
     """
-    values = np.asarray(values, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    squeeze = values.ndim == 1
-    if squeeze:
-        values = values[None, :]
-        dW = dW[None, :]
     tail, cum = coupling_weights(measure, m)
     d = dW[:, start * m : (start + k) * m]
     out = np.empty((values.shape[0], k + 1))
@@ -218,26 +163,17 @@ def coupled_increments_values(values, dW, n: int, m: int, k: int, start: int,
     out[:, k] = d[:, (k - 1) * m :] @ cum
     anchor = values[:, start * m]
     out *= (np.sqrt(n) * model.a(anchor, theta))[:, None]
-    return out[0] if squeeze else out
+    return out
 
 
-def gaussian_coupled_increments(path: PathGrid, model: DiffusionModel, k: int, block_index: int,
-                                measure: WeightMeasure, theta: float) -> np.ndarray:
-    """Gaussian coupling of the rescaled increments of one block of a path."""
-    edges = block_edges(path.n, k)
-    if not 0 <= block_index < edges.size - 1:
-        raise ValueError(f"block index {block_index} out of range")
-    start, stop = int(edges[block_index]), int(edges[block_index + 1])
-    return coupled_increments_values(
-        path.values, path.dW, path.n, path.m, stop - start, start, measure, model, theta
-    )
+def path_to_csv(values: np.ndarray, dW: np.ndarray) -> str:
+    """Fine-grid dump of one path row and its increments: columns t, X, dW.
 
-
-def path_to_csv(path: PathGrid) -> str:
-    """Fine-grid dump with columns t, X, dW (the last row has no increment)."""
-    steps = path.n * path.m
+    The last row, at t = 1, has no increment.
+    """
+    steps = dW.size
     lines = ["t,X,dW"]
     for i in range(steps):
-        lines.append(f"{i / steps!r},{float(path.values[i])!r},{float(path.dW[i])!r}")
-    lines.append(f"{1.0!r},{float(path.values[steps])!r},")
+        lines.append(f"{i / steps!r},{float(values[i])!r},{float(dW[i])!r}")
+    lines.append(f"{1.0!r},{float(values[steps])!r},")
     return "\n".join(lines) + "\n"

@@ -17,12 +17,13 @@ from diffmeans.experiments import (
     run_coupling,
     run_experiment,
 )
-from diffmeans.measures import WeightMeasure, v_coefficients, v_coefficients_quadrature
+from diffmeans.measures import WeightMeasure, v_coefficients
 from diffmeans.models import get_model
-from diffmeans.quasi_score import TriKMatrix, augmented_block_cov, quadratic_forms, solve_tridiagonal
+from diffmeans.quasi_score import TriKMatrix, augmented_block_cov, quadratic_forms
 from diffmeans.simulate import observe_values, simulate_values
 
 from conftest import random_measure
+from reference import dense, solve_tridiagonal, v_coefficients_quadrature
 
 WORKERS = min(4, os.cpu_count() or 1)
 DEFAULTS = {c.run_id: c for c in default_verify_configs()}
@@ -66,12 +67,12 @@ def test_criterion_02_tridiagonal_oracle():
         K = TriKMatrix(size=size, diag=diag, offdiag=c)
         rhs = rng.standard_normal(size)
         x = solve_tridiagonal(K, rhs)
-        dense = K.dense()
+        dense_K = dense(K)
         worst_resid = max(
             worst_resid,
-            np.max(np.abs(dense @ x - rhs)) / max(np.max(np.abs(rhs)), 1e-300),
+            np.max(np.abs(dense_K @ x - rhs)) / max(np.max(np.abs(rhs)), 1e-300),
         )
-        ref = np.linalg.solve(dense, rhs)
+        ref = np.linalg.solve(dense_K, rhs)
         worst_gap = max(worst_gap, np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-300))
     ok = worst_resid <= 1e-10 and worst_gap <= 1e-10
     _verdict(2, "tridiagonal-oracle", ok,

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -7,11 +8,61 @@ import pytest
 from diffmeans.cli import main
 from diffmeans.measures import WeightMeasure
 from diffmeans.models import get_model
-from diffmeans.simulate import observe, simulate_path
+from diffmeans.simulate import observe_values, simulate_values
+
+
+# sine_scale through a mixture measure at n = 37, k = 36: the augmented CSV
+# ends in a block of one mean.  The digest covers the plain and augmented
+# CSVs, their .meta.json sidecars, the path dump and both estimate JSONs,
+# and pins the bytes at numpy 2.4.6.
+PINNED_CLI_SHA256 = "327025f4a95ee4c4343a74568049575eb18871ce4fb5b983d04ee2cba1d99674"
+PIN_MIXTURE = '{"kind":"mixture","lebesgue":0.5,"atoms":[[0.25,0.3],[0.8,0.2]]}'
 
 
 def run_cli(args):
     return main(args)
+
+
+def pinned_cli_files(tmp_path):
+    """Run the pinned simulate/estimate requests; returns the written files in order."""
+    common = ["--model", "sine_scale", "--measure", PIN_MIXTURE, "--m", "8", "--xi0", "0.4"]
+    sim = common + ["--theta", "1.3", "--n", "37", "--seed", "11"]
+    plain, aug, dump = tmp_path / "plain.csv", tmp_path / "aug.csv", tmp_path / "path.csv"
+    assert run_cli(["simulate", *sim, "--out", str(plain)]) == 0
+    assert run_cli(["simulate", *sim, "--augmented", "--k", "fixed:36",
+                    "--dump-path", str(dump), "--out", str(aug)]) == 0
+    plain_est, aug_est = tmp_path / "plain.json", tmp_path / "aug.json"
+    assert run_cli(["estimate", *common, "--k", "fixed:36", "--in", str(plain),
+                    "--out", str(plain_est)]) == 0
+    assert run_cli(["estimate", *common, "--in", str(aug), "--out", str(aug_est)]) == 0
+    return [plain, tmp_path / "plain.csv.meta.json", aug, tmp_path / "aug.csv.meta.json",
+            dump, plain_est, aug_est]
+
+
+def test_pinned_cli_bytes(tmp_path):
+    digest = hashlib.sha256()
+    for path in pinned_cli_files(tmp_path):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == PINNED_CLI_SHA256
+
+
+@pytest.mark.parametrize("spec,message", [
+    ('{"kind":"atomic","atoms":[[0.5,NaN]]}', "atom weight nan"),
+    ('{"kind":"mixture","lebesgue":NaN,"atoms":[[0.5,1.0]]}', "lebesgue weight nan"),
+    ('{"kind":"atomic","atoms":[[NaN,1.0]]}', "atom position nan"),
+], ids=["atom_weight", "lebesgue_weight", "atom_position"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "verify"])
+def test_non_finite_measure_exits_2_without_output(command, spec, message, tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("j,xbar\n0,0.1\n1,0.3\n2,0.2\n")
+    argv = {"simulate": ["simulate", "--n", "4", "--m", "2"],
+            "estimate": ["estimate", "--k", "fixed:2", "--in", str(obs)],
+            "verify": ["verify", "--experiment", "tails", "--M", "10", "--workers", "1"]}[command]
+    assert run_cli([*argv, "--measure", spec, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} is not a finite number\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["obs.csv"]
 
 
 class TestSimulateCommand:
@@ -41,9 +92,15 @@ class TestSimulateCommand:
         assert code == 0
         rows = out.read_text().strip().splitlines()[1:]
         got = np.array([float(r.split(",")[1]) for r in rows])
-        path = simulate_path(get_model("multiplicative_bm"), 1.0, 0.0, 4, 8, 5)
-        expect = observe(path, WeightMeasure.dirac(0.5))
+        values, _ = simulate_values(get_model("multiplicative_bm"), 1.0, 0.0, 4, 8, 5, reps=1)
+        expect = observe_values(values, WeightMeasure.dirac(0.5), 4, 8)[0]
         np.testing.assert_allclose(got, expect, rtol=1e-15)
+
+    def test_single_cell_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "obs.csv"
+        assert run_cli(["simulate", "--n", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need n >= 2 observation cells\n"
+        assert not out.exists()
 
     def test_unknown_model_exits_2(self, tmp_path):
         code = run_cli(["simulate", "--model", "levy_flight", "--out", str(tmp_path / "x.csv")])
@@ -290,6 +347,27 @@ class TestVerifyCommand:
         assert run_cli(argv + ["--workers", "1", "--out", str(tmp_path / "w1")]) in (0, 1)
         assert run_cli(argv + ["--workers", "3", "--out", str(tmp_path / "w3")]) in (0, 1)
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
+
+    def test_config_file_sets_every_override(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        settings = {"experiment": "tails", "model": "sine_scale",
+                    "measure": {"kind": "atomic", "atoms": [[0.5, 1.0]]}, "theta0": 1.2,
+                    "h": 0.5, "n": [64, 128], "k": "fixed:4", "M": 200, "m": 4, "xi0": 0.3,
+                    "tolerances": {"exceedance_at_zero": [1.0, 0.5]}}
+        cfg.write_text(json.dumps(settings))
+        code = run_cli(["verify", "--config", str(cfg), "--seed", "5", "--workers", "1",
+                        "--out", str(tmp_path / "r")])
+        assert code in (0, 1)
+        run = json.loads((tmp_path / "r.json").read_text())["config"]["runs"][0]
+        assert run["experiment"] == "tails" and run["seed"] == 5
+        assert run["model"] == "sine_scale"
+        assert run["measure"] == {"kind": "atomic", "atoms": [[0.5, 1.0]]}
+        assert run["theta0"] == 1.2 and run["h"] == 0.5
+        assert run["n_list"] == [64, 128]
+        assert run["k_rule"] == "fixed:4"
+        assert run["replications"] == 200 and run["m"] == 4
+        assert run["xi0"] == 0.3
+        assert run["tolerances"] == {"exceedance_at_zero": [1.0, 0.5]}
 
     def test_expansion_sine_reports_without_oracle(self, tmp_path):
         code = run_cli(["verify", "--experiment", "expansion", "--model", "sine_scale",

@@ -6,7 +6,9 @@ from diffmeans.exact_oracle import build_base_cov
 from diffmeans.measures import WeightMeasure, v_coefficients
 from diffmeans.models import get_model
 from diffmeans.quasi_score import augmented_block_cov, interior_block_cov, quadratic_forms
-from diffmeans.simulate import block_edges, observe, observe_values, simulate_path, simulate_values
+from diffmeans.simulate import block_edges, observe_values, simulate_values
+
+from conftest import one_path
 
 MULT = get_model("multiplicative_bm")
 SINE = get_model("sine_scale")
@@ -14,9 +16,9 @@ LEB = WeightMeasure.lebesgue()
 V_LEB = v_coefficients(LEB)
 
 
-def augmented_data(path, k):
-    """(means, block edge values) of one path."""
-    return observe(path, LEB), path.values[block_edges(path.n, k) * path.m]
+def augmented_data(values, n, m, k):
+    """(means, block edge values) of a one-row batch of paths."""
+    return observe_values(values, LEB, n, m)[0], values[0, block_edges(n, k) * m]
 
 
 def closed_form_augmented(obs, edge_values, k):
@@ -27,7 +29,7 @@ def closed_form_augmented(obs, edge_values, k):
         means = obs[edges[l] : edges[l + 1]]
         u = np.sqrt(n) * np.concatenate([[means[0] - edge_values[l]], np.diff(means),
                                          [edge_values[l + 1] - means[-1]]])
-        q += quadratic_forms(augmented_block_cov(means.size, V_LEB), u)
+        q += quadratic_forms(augmented_block_cov(means.size, V_LEB), u[None, :])[0]
         dof += u.size
     return np.sqrt(q / dof)
 
@@ -41,15 +43,15 @@ def closed_form_means_only(obs, xi0, k):
         if length < 2:
             continue
         u = root_n * np.diff(obs[start : start + length])
-        q += quadratic_forms(interior_block_cov(length, V_LEB), u)
+        q += quadratic_forms(interior_block_cov(length, V_LEB), u[None, :])[0]
         dof += length - 1
     return np.sqrt(q / dof)
 
 
 class TestAugmentedEstimator:
     def test_matches_closed_form(self):
-        path = simulate_path(MULT, 1.4, 0.0, n=128, m=16, seed=2)
-        obs, edge_values = augmented_data(path, 10)
+        values = one_path(MULT, 1.4, 0.0, n=128, m=16, seed=2)
+        obs, edge_values = augmented_data(values, 128, 16, 10)
         res = estimate_augmented(obs, edge_values, MULT, V_LEB, 10)
         assert not res.boundary_hit
         assert abs(res.score_at_hat) <= 1e-8
@@ -58,15 +60,13 @@ class TestAugmentedEstimator:
         assert res.info_at_hat > 0
 
     def test_idempotent_restart(self):
-        path = simulate_path(SINE, 1.1, 0.2, n=64, m=16, seed=3)
-        obs, edge_values = augmented_data(path, 8)
+        obs, edge_values = augmented_data(one_path(SINE, 1.1, 0.2, n=64, m=16, seed=3), 64, 16, 8)
         first = estimate_augmented(obs, edge_values, SINE, V_LEB, 8)
         again = estimate_augmented(obs, edge_values, SINE, V_LEB, 8, theta_init=first.theta_hat)
         assert again.theta_hat == pytest.approx(first.theta_hat, abs=1e-10)
 
     def test_scaling_equivariance(self):
-        path = simulate_path(MULT, 1.0, 0.0, n=64, m=16, seed=5)
-        obs, edge_values = augmented_data(path, 8)
+        obs, edge_values = augmented_data(one_path(MULT, 1.0, 0.0, n=64, m=16, seed=5), 64, 16, 8)
         lam = 1.6
         assert closed_form_augmented(obs * lam, edge_values * lam, 8) == pytest.approx(
             lam * closed_form_augmented(obs, edge_values, 8), rel=1e-12
@@ -99,36 +99,31 @@ class TestAugmentedEstimator:
         assert np.std(gap, ddof=1) < 1.0
 
     def test_boundary_hit_upper(self):
-        path = simulate_path(MULT, 1.0, 0.0, n=64, m=16, seed=9)
-        obs, edge_values = augmented_data(path, 8)
+        obs, edge_values = augmented_data(one_path(MULT, 1.0, 0.0, n=64, m=16, seed=9), 64, 16, 8)
         res = estimate_augmented(obs * 10.0, edge_values * 10.0, MULT, V_LEB, 8)
         assert res.boundary_hit
         assert res.theta_hat == MULT.theta_interval[1]
 
     def test_boundary_hit_lower(self):
-        path = simulate_path(MULT, 1.0, 0.0, n=64, m=16, seed=9)
-        obs, edge_values = augmented_data(path, 8)
+        obs, edge_values = augmented_data(one_path(MULT, 1.0, 0.0, n=64, m=16, seed=9), 64, 16, 8)
         res = estimate_augmented(obs * 0.01, edge_values * 0.01, MULT, V_LEB, 8)
         assert res.boundary_hit
         assert res.theta_hat == MULT.theta_interval[0]
 
     def test_theta_init_outside_interval(self):
-        path = simulate_path(MULT, 1.0, 0.0, n=16, m=8, seed=1)
-        obs, edge_values = augmented_data(path, 4)
+        obs, edge_values = augmented_data(one_path(MULT, 1.0, 0.0, n=16, m=8, seed=1), 16, 8, 4)
         with pytest.raises(ValueError):
             estimate_augmented(obs, edge_values, MULT, V_LEB, 4, theta_init=5.0)
 
 
 class TestMeansOnlyEstimator:
     def test_matches_closed_form(self):
-        path = simulate_path(MULT, 1.7, 0.0, n=128, m=16, seed=12)
-        obs = observe(path, LEB)
+        obs = observe_values(one_path(MULT, 1.7, 0.0, n=128, m=16, seed=12), LEB, 128, 16)[0]
         res = estimate_means_only(obs, 0.0, MULT, V_LEB, k=8)
         assert res.theta_hat == pytest.approx(closed_form_means_only(obs, 0.0, 8), abs=1e-8)
 
     def test_k_below_two_rejected(self):
-        path = simulate_path(MULT, 1.0, 0.0, n=16, m=8, seed=1)
-        obs = observe(path, LEB)
+        obs = observe_values(one_path(MULT, 1.0, 0.0, n=16, m=8, seed=1), LEB, 16, 8)[0]
         with pytest.raises(ValueError):
             estimate_means_only(obs, 0.0, MULT, V_LEB, k=1)
 

@@ -13,6 +13,7 @@ from diffmeans.models import get_model
 from diffmeans.simulate import observe_values, simulate_values
 
 from conftest import weight_measures
+from reference import dense_cov
 
 LEB = WeightMeasure.lebesgue()
 MULT = get_model("multiplicative_bm")
@@ -36,14 +37,14 @@ oracle_measures = st.one_of(
 
 class TestBaseCov:
     def test_lebesgue_n2_entries(self):
-        cov = build_base_cov(2, LEB).dense_cov()
+        cov = dense_cov(build_base_cov(2, LEB))
         assert cov[0, 0] == pytest.approx(1.0 / 6.0)
         assert cov[0, 1] == pytest.approx(0.25)
         assert cov[1, 1] == pytest.approx((1 + 1.0 / 3.0) / 2.0)
 
     def test_lebesgue_structure(self):
         n = 5
-        cov = build_base_cov(n, LEB).dense_cov()
+        cov = dense_cov(build_base_cov(n, LEB))
         for i in range(n):
             assert cov[i, i] == pytest.approx((i + 1.0 / 3.0) / n)
             for j in range(i + 1, n):
@@ -51,14 +52,14 @@ class TestBaseCov:
 
     def test_dirac_single_observation(self):
         for alpha in (0.3, 0.5, 0.9):
-            cov = build_base_cov(1, WeightMeasure.dirac(alpha)).dense_cov()
+            cov = dense_cov(build_base_cov(1, WeightMeasure.dirac(alpha)))
             assert cov[0, 0] == pytest.approx(alpha)
 
     def test_mixture_bilinearity(self):
         # Against brute-force double quadrature of min((s+i)/n, (t+j)/n).
         measure = WeightMeasure.mixture(0.4, [(0.3, 0.35), (0.8, 0.25)])
         n = 3
-        cov = build_base_cov(n, measure).dense_cov()
+        cov = dense_cov(build_base_cov(n, measure))
         grid = np.linspace(0.0005, 0.9995, 1000)
         w_leb = np.full(grid.size, 0.4 / grid.size)
         pts = np.concatenate([grid, [0.3, 0.8]])
@@ -73,7 +74,7 @@ class TestBaseCov:
         gm = build_base_cov(n, LEB)
         L = np.eye(n) + np.diag(gm.sub[1:], -1)
         D = np.eye(n) - np.eye(n, k=-1)
-        np.testing.assert_allclose(L @ np.diag(gm.piv) @ L.T, n * D @ gm.dense_cov() @ D.T,
+        np.testing.assert_allclose(L @ np.diag(gm.piv) @ L.T, n * D @ dense_cov(gm) @ D.T,
                                    atol=1e-12)
 
     def test_dirac_difference_covariance_is_diagonal(self):
@@ -85,7 +86,7 @@ class TestBaseCov:
     @given(st.integers(1, 256), oracle_measures, st.integers(0, 2**32 - 1))
     def test_matches_dense_cholesky(self, n, measure, seed):
         gm = build_base_cov(n, measure)
-        chol = np.linalg.cholesky(gm.dense_cov())
+        chol = np.linalg.cholesky(dense_cov(gm))
         X = (chol @ np.random.default_rng(seed).standard_normal((n, 5))).T
         y = np.linalg.solve(chol, X.T)
         np.testing.assert_allclose(gm.quad_forms(X), np.sum(y * y, axis=0), rtol=1e-10)
@@ -120,17 +121,18 @@ class TestLogDensity:
         gm = build_base_cov(3, LEB)
         theta = 1.7
         expect = -0.5 * (3 * np.log(2 * np.pi * theta**2) + gm.log_det())
-        assert log_density(gm, theta, np.zeros(3)) == pytest.approx(expect)
+        assert log_density(gm, theta, np.zeros((1, 3)))[0] == pytest.approx(expect)
 
     def test_scalar_exponent(self):
         gm = build_base_cov(1, LEB)
-        x = np.array([np.sqrt(1.0 / 3.0)])
-        assert log_density(gm, 1.0, x) - log_density(gm, 1.0, np.zeros(1)) == pytest.approx(-0.5)
+        x = np.array([[np.sqrt(1.0 / 3.0)], [0.0]])
+        value, zero = log_density(gm, 1.0, x)
+        assert value - zero == pytest.approx(-0.5)
 
     def test_normalization_n2(self):
         gm = build_base_cov(2, LEB)
         theta = 1.0
-        sds = np.sqrt(theta**2 * np.diag(gm.dense_cov()))
+        sds = np.sqrt(theta**2 * np.diag(dense_cov(gm)))
         g0 = np.linspace(-6 * sds[0], 6 * sds[0], 401)
         g1 = np.linspace(-6 * sds[1], 6 * sds[1], 401)
         xx, yy = np.meshgrid(g0, g1, indexing="ij")
@@ -143,29 +145,30 @@ class TestLogDensity:
     def test_nonpositive_theta_rejected(self):
         gm = build_base_cov(2, LEB)
         with pytest.raises(ValueError):
-            log_density(gm, 0.0, np.zeros(2))
+            log_density(gm, 0.0, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            exact_llr(gm, np.zeros(2), -1.0, 1.0)
+            exact_llr(gm, np.zeros((1, 2)), -1.0, 1.0)
 
 
 class TestExactLLR:
     def test_identical_thetas(self, rng):
         gm = build_base_cov(4, LEB)
-        x = rng.standard_normal(4)
-        assert exact_llr(gm, x, 1.3, 1.3) == 0.0
+        x = rng.standard_normal((1, 4))
+        assert exact_llr(gm, x, 1.3, 1.3)[0] == 0.0
 
     def test_antisymmetry_and_chain(self, rng):
         gm = build_base_cov(4, LEB)
-        x = rng.standard_normal(4)
-        assert exact_llr(gm, x, 1.0, 2.0) == pytest.approx(-exact_llr(gm, x, 2.0, 1.0), rel=1e-14)
-        chain = exact_llr(gm, x, 0.8, 1.2) + exact_llr(gm, x, 1.2, 2.5)
-        assert chain == pytest.approx(exact_llr(gm, x, 0.8, 2.5), rel=1e-12)
+        x = rng.standard_normal((1, 4))
+        assert exact_llr(gm, x, 1.0, 2.0)[0] == pytest.approx(-exact_llr(gm, x, 2.0, 1.0)[0],
+                                                              rel=1e-14)
+        chain = exact_llr(gm, x, 0.8, 1.2)[0] + exact_llr(gm, x, 1.2, 2.5)[0]
+        assert chain == pytest.approx(exact_llr(gm, x, 0.8, 2.5)[0], rel=1e-12)
 
     def test_matches_log_density_difference(self, rng):
         gm = build_base_cov(5, LEB)
-        x = rng.standard_normal(5)
-        diff = log_density(gm, 1.4, x) - log_density(gm, 0.9, x)
-        assert exact_llr(gm, x, 0.9, 1.4) == pytest.approx(diff, rel=1e-12)
+        x = rng.standard_normal((1, 5))
+        diff = log_density(gm, 1.4, x)[0] - log_density(gm, 0.9, x)[0]
+        assert exact_llr(gm, x, 0.9, 1.4)[0] == pytest.approx(diff, rel=1e-12)
 
     def test_local_alternative_mean(self):
         # E[log Z(theta0, theta0 + h/sqrt(n))] ~ -h^2/theta0^2 at h=1, theta0=1.
@@ -182,18 +185,18 @@ class TestExactLLR:
 class TestExactMLE:
     def test_positive_homogeneity(self, rng):
         gm = build_base_cov(6, LEB)
-        x = rng.standard_normal(6)
-        assert exact_mle(gm, 3.0 * x) == pytest.approx(3.0 * exact_mle(gm, x), rel=1e-12)
+        x = rng.standard_normal((1, 6))
+        assert exact_mle(gm, 3.0 * x)[0] == pytest.approx(3.0 * exact_mle(gm, x)[0], rel=1e-12)
 
     def test_single_pointwise_sample(self, rng):
         gm = build_base_cov(1, WeightMeasure.dirac(0.9999999999))
         x0 = rng.standard_normal()
-        assert exact_mle(gm, np.array([x0])) == pytest.approx(abs(x0), rel=1e-4)
+        assert exact_mle(gm, np.array([[x0]]))[0] == pytest.approx(abs(x0), rel=1e-4)
 
     def test_zero_input_rejected(self):
         gm = build_base_cov(3, LEB)
         with pytest.raises(ValueError):
-            exact_mle(gm, np.zeros(3))
+            exact_mle(gm, np.zeros((1, 3)))
 
     def test_zero_row_rejected_in_batch(self, rng):
         gm = build_base_cov(3, LEB)
@@ -218,10 +221,12 @@ class TestExactMLE:
     lambda gm, x: exact_mle(gm, x),
 ], ids=["log_density", "exact_llr", "exact_mle"])
 def test_rows_batch_like_single_vectors(oracle, rng):
+    # A single observation vector is the one-row batch.
     gm = build_base_cov(7, WeightMeasure.mixture(0.5, [(0.25, 0.5)]))
     X = rng.standard_normal((4, 7))
-    single = [oracle(gm, x) for x in X]
-    assert all(type(v) is float for v in single)
+    single = [oracle(gm, X[r : r + 1]) for r in range(4)]
+    assert all(v.shape == (1,) for v in single)
+    single = np.concatenate(single)
     batch = oracle(gm, X)
     assert batch.shape == (4,)
     np.testing.assert_allclose(batch, single, rtol=1e-14)

@@ -30,6 +30,20 @@ from diffmeans.experiments import (
 )
 
 PINNED_SMALL_CSV_SHA256 = "21ac73db792cbee98ec0f59f0a13f7c55275d743d297840b228305949d6123d8"
+PINNED_ORACLE_CSV_SHA256 = "6554be36a8877f7f5ebfa6cde40b2933b901b7f7d76c78963f99846c8d89311c"
+
+
+def pinned_oracle_configs():
+    """Oracle rows: an expansion at two n and an exact-MLE estimator, non-Lebesgue measures."""
+    return [
+        ExperimentConfig(experiment="expansion", model="multiplicative_bm", theta0=1.3, h=1.0,
+                         measure={"kind": "mixture", "lebesgue": 0.5,
+                                  "atoms": [[0.25, 0.3], [0.8, 0.2]]},
+                         n_list=(64, 256), k_rule="log2", replications=40, seed=7),
+        ExperimentConfig(experiment="estimator", model="multiplicative_bm", theta0=1.3,
+                         measure={"kind": "atomic", "atoms": [[0.5, 1.0]]}, n_list=(128,),
+                         k_rule="fixed:8", replications=40, seed=7, estimators=("exact_mle",)),
+    ]
 
 
 class TestConfig:
@@ -140,6 +154,12 @@ class TestReports:
         ]
         text = merge_reports([run_experiment(c, workers) for c in configs]).to_csv_text()
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SMALL_CSV_SHA256
+
+    def test_pinned_oracle_csv_bytes(self):
+        # The rows computed by the exact oracle (log-likelihood ratios and
+        # the closed-form MLE), pinned at numpy 2.4.6 like the digest above.
+        text = merge_reports([run_experiment(c) for c in pinned_oracle_configs()]).to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ORACLE_CSV_SHA256
 
 
 class TestChunkPartition:

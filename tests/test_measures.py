@@ -5,17 +5,14 @@ from hypothesis import strategies as st
 
 from diffmeans.measures import (
     WeightMeasure,
-    cum_mass,
-    local_mean,
     mean_weights,
     measure_from_spec,
     measure_to_spec,
-    tail_mass,
     v_coefficients,
-    v_coefficients_quadrature,
 )
 
 from conftest import random_measure, weight_measures
+from reference import cum_mass, local_mean, tail_mass, v_coefficients_quadrature
 
 LEB = WeightMeasure.lebesgue()
 ONE_ATOM = WeightMeasure.dirac(0.5)
@@ -151,6 +148,17 @@ class TestValidationAndSerialization:
             WeightMeasure.atomic([(0.5, 0.7)])
         with pytest.raises(ValueError):
             WeightMeasure(kind="mixture", lebesgue_weight=0.5, atoms=((0.5, 0.7),))
+
+    @pytest.mark.parametrize("spec,name", [
+        ({"kind": "atomic", "atoms": [[0.5, float("nan")]]}, "atom weight"),
+        ({"kind": "atomic", "atoms": [[float("nan"), 1.0]]}, "atom position"),
+        ({"kind": "mixture", "lebesgue": float("nan"), "atoms": [[0.5, 1.0]]}, "lebesgue weight"),
+        ({"kind": "mixture", "lebesgue": 0.5, "atoms": [[float("inf"), 0.5]]}, "atom position"),
+    ])
+    def test_rejects_non_finite_values(self, spec, name):
+        # NaN passes the range and mass comparisons, so it needs its own check.
+        with pytest.raises(ValueError, match=f"^{name} (nan|inf) is not a finite number$"):
+            measure_from_spec(spec)
 
     def test_rejects_unsorted_positions(self):
         with pytest.raises(ValueError):

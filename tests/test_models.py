@@ -11,7 +11,9 @@ from diffmeans.models import (
     path_information,
     validate_registry,
 )
-from diffmeans.simulate import simulate_path
+from diffmeans.simulate import simulate_values
+
+from conftest import one_path
 
 MULT = get_model("multiplicative_bm")
 SINE = get_model("sine_scale")
@@ -60,40 +62,41 @@ class TestInfoIntegrand:
 
 class TestPathInformation:
     def test_multiplicative_constant(self):
-        path = simulate_path(MULT, 1.0, 0.0, n=16, m=8, seed=1)
-        assert path_information(MULT, path.values, 1.0) == pytest.approx(2.0, abs=1e-12)
+        values = one_path(MULT, 1.0, 0.0, n=16, m=8, seed=1)
+        assert path_information(MULT, values, 1.0)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_sine_scale_deterministic(self):
-        path = simulate_path(SINE, 2.0, 0.0, n=16, m=8, seed=1)
-        assert path_information(SINE, path.values, 2.0) == pytest.approx(0.5, abs=1e-12)
+        values = one_path(SINE, 2.0, 0.0, n=16, m=8, seed=1)
+        assert path_information(SINE, values, 2.0)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_cauchy_zero_path(self):
-        assert path_information(CAUCHY, np.zeros(129), 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert path_information(CAUCHY, np.zeros((1, 129)), 1.0)[0] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("block", ["rows_below", "rows_at", "rows_above", "default"])
     @pytest.mark.parametrize("model", [MULT, SINE, CAUCHY], ids=lambda mdl: mdl.name)
     @pytest.mark.parametrize("reps", [None, 1, 7])
     def test_row_blocks_match_whole_array(self, monkeypatch, block, model, reps):
+        # reps None: the rows of a 7-row batch, each passed as a one-row batch.
         row = (1 << 17) + 1 if block == "default" else 97
         if block != "default":
             # Rows shorter than, equal to and longer than one block.
             size = {"rows_below": 3 * row + 1, "rows_at": row, "rows_above": row - 1}[block]
             monkeypatch.setattr(models, "_BLOCK_DOUBLES", size)
-        rows = 1 if reps is None else reps
+        rows = 7 if reps is None else reps
         values = np.cumsum(np.random.default_rng(row + rows).standard_normal((rows, row)), axis=1)
         values *= 1.0 / np.sqrt(row)
-        got = path_information(model, values[0] if reps is None else values, 1.7)
         if reps is None:
-            y = info_integrand(model, values[0], 1.7)
-            assert got == float(2.0 * np.trapezoid(y, dx=1.0 / (row - 1)))
+            got = np.concatenate([path_information(model, values[r : r + 1], 1.7)
+                                  for r in range(rows)])
         else:
-            y = info_integrand(model, values, 1.7)
-            assert np.array_equal(got, 2.0 * np.trapezoid(y, dx=1.0 / (row - 1), axis=1))
+            got = path_information(model, values, 1.7)
+        y = info_integrand(model, values, 1.7)
+        assert np.array_equal(got, 2.0 * np.trapezoid(y, dx=1.0 / (row - 1), axis=1))
 
     def test_grid_refinement_stable(self):
-        path = simulate_path(SINE, 1.0, 0.3, n=64, m=512, seed=5)
-        fine = path_information(SINE, path.values, 1.0)
-        coarse = path_information(SINE, path.values[::2], 1.0)
+        values = one_path(SINE, 1.0, 0.3, n=64, m=512, seed=5)
+        fine = path_information(SINE, values, 1.0)[0]
+        coarse = path_information(SINE, values[:, ::2], 1.0)[0]
         assert abs(fine - coarse) < 1e-3
 
 
@@ -113,4 +116,4 @@ def test_theta_interval_enforced():
     with pytest.raises(ValueError):
         MULT.check_theta(4.0)
     with pytest.raises(ValueError):
-        simulate_path(MULT, 0.2, 0.0, n=4, m=4, seed=0)
+        simulate_values(MULT, 0.2, 0.0, n=4, m=4, seed=0, reps=1)

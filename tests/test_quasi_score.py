@@ -16,11 +16,11 @@ from diffmeans.quasi_score import (
     obs_summaries,
     quadratic_forms,
     score_terms,
-    solve_tridiagonal,
 )
-from diffmeans.simulate import block_edges, observe, observe_values, simulate_path, simulate_values
+from diffmeans.simulate import block_edges, observe_values, simulate_values
 
-from conftest import weight_measures
+from conftest import one_path, weight_measures
+from reference import dense, solve_tridiagonal
 
 MULT = get_model("multiplicative_bm")
 SINE = get_model("sine_scale")
@@ -31,7 +31,7 @@ V_LEB = v_coefficients(LEB)
 def block_terms(u, anchor, theta, theta0, model):
     """(score term, info term) of one augmented block of rescaled increments u."""
     u = np.asarray(u, dtype=float)
-    q = np.array([quadratic_forms(augmented_block_cov(u.size - 1, V_LEB), u)])
+    q = quadratic_forms(augmented_block_cov(u.size - 1, V_LEB), u[None, :])
     anchors, sizes = np.array([anchor]), np.array([u.size])
     return (score_terms(theta, theta0, model, anchors, sizes, q)[0],
             info_terms(theta, theta0, model, anchors, q)[0])
@@ -44,10 +44,10 @@ def hand_increments(obs, start, stop, anchor, terminal, n):
                                         [terminal - means[-1]]])
 
 
-def path_summaries(path, measure, k):
-    """(obs, edge_values, summaries) of one path as R = 1 rows."""
-    obs = observe(path, measure)[None, :]
-    edge_values = path.values[block_edges(path.n, k) * path.m][None, :]
+def path_summaries(values, n, m, measure, k):
+    """(obs, edge_values, summaries) of a one-row batch of paths."""
+    obs = observe_values(values, measure, n, m)
+    edge_values = values[:, block_edges(n, k) * m]
     return obs, edge_values, aug_summaries(obs, edge_values, k, V_LEB)
 
 
@@ -65,7 +65,7 @@ class TestTridiagonalSolve:
 
     def test_k1_lebesgue_dense_inverse(self):
         K = augmented_block_cov(1, V_LEB)
-        np.testing.assert_allclose(np.linalg.inv(K.dense()),
+        np.testing.assert_allclose(np.linalg.inv(dense(K)),
                                    [[4.0, -2.0], [-2.0, 4.0]], atol=1e-12)
         np.testing.assert_allclose(solve_tridiagonal(K, np.array([1.0, 1.0])),
                                    [2.0, 2.0], atol=1e-12)
@@ -76,9 +76,9 @@ class TestTridiagonalSolve:
             K = random_pd_tri(rng, size)
             rhs = rng.standard_normal(size)
             x = solve_tridiagonal(K, rhs)
-            np.testing.assert_allclose(x, np.linalg.solve(K.dense(), rhs),
+            np.testing.assert_allclose(x, np.linalg.solve(dense(K), rhs),
                                        rtol=1e-10, atol=1e-12)
-            resid = np.max(np.abs(K.dense() @ x - rhs))
+            resid = np.max(np.abs(dense(K) @ x - rhs))
             assert resid <= 1e-10 * max(np.max(np.abs(rhs)), 1e-30)
 
     @settings(max_examples=80, deadline=None)
@@ -88,14 +88,14 @@ class TestTridiagonalSolve:
         K = random_pd_tri(r, size)
         rhs = r.standard_normal(size)
         np.testing.assert_allclose(solve_tridiagonal(K, rhs),
-                                   np.linalg.solve(K.dense(), rhs),
+                                   np.linalg.solve(dense(K), rhs),
                                    rtol=1e-9, atol=1e-11)
 
     def test_matrix_rhs(self, rng):
         K = random_pd_tri(rng, 6)
         rhs = rng.standard_normal((6, 4))
         np.testing.assert_allclose(solve_tridiagonal(K, rhs),
-                                   np.linalg.solve(K.dense(), rhs), rtol=1e-10, atol=1e-12)
+                                   np.linalg.solve(dense(K), rhs), rtol=1e-10, atol=1e-12)
 
     def test_breakdown_names_pivot(self):
         K = TriKMatrix(size=3, diag=np.array([1.0, 0.5, 1.0]), offdiag=1.0)
@@ -105,35 +105,36 @@ class TestTridiagonalSolve:
     def test_dimension_mismatch(self):
         K = augmented_block_cov(2, V_LEB)
         with pytest.raises(ValueError):
-            quadratic_forms(K, np.ones(2))
+            quadratic_forms(K, np.ones((1, 2)))
         with pytest.raises(ValueError):
             solve_tridiagonal(K, np.ones(4))
 
 
 class TestQuadraticForm:
     def test_zero_vector(self):
-        assert quadratic_forms(augmented_block_cov(3, V_LEB), np.zeros(4)) == 0.0
+        assert quadratic_forms(augmented_block_cov(3, V_LEB), np.zeros((1, 4)))[0] == 0.0
 
     def test_k1_lebesgue_value(self):
-        assert quadratic_forms(augmented_block_cov(1, V_LEB), [1.0, 1.0]) == pytest.approx(4.0)
+        q = quadratic_forms(augmented_block_cov(1, V_LEB), np.array([[1.0, 1.0]]))
+        assert q[0] == pytest.approx(4.0)
 
     def test_identity_case(self):
         K = TriKMatrix(size=2, diag=np.array([1.0, 1.0]), offdiag=0.0)
-        u = np.array([3.0, -2.0])
-        assert quadratic_forms(K, u) == pytest.approx(np.sum(u * u))
+        u = np.array([[3.0, -2.0]])
+        assert quadratic_forms(K, u)[0] == pytest.approx(np.sum(u * u))
 
     def test_positive_for_nonzero(self, rng):
         for _ in range(30):
             K = augmented_block_cov(int(rng.integers(1, 9)), V_LEB)
-            u = rng.standard_normal(K.size)
-            assert quadratic_forms(K, u) > 0.0
+            u = rng.standard_normal((1, K.size))
+            assert quadratic_forms(K, u)[0] > 0.0
 
     def test_batch_rows_match_scalar(self, rng):
         K = augmented_block_cov(4, V_LEB)
         U = rng.standard_normal((7, 5))
         batch = quadratic_forms(K, U)
         for r in range(7):
-            assert batch[r] == pytest.approx(quadratic_forms(K, U[r]), rel=1e-14)
+            assert batch[r] == pytest.approx(quadratic_forms(K, U[r : r + 1])[0], rel=1e-14)
 
 
 class TestXi:
@@ -200,8 +201,8 @@ class TestScoreAndInfo:
 
     def test_matches_per_block_sum(self):
         n, k = 23, 4
-        path = simulate_path(SINE, 1.2, 0.1, n=n, m=8, seed=13)
-        obs, edge_values, (anchors, sizes, q) = path_summaries(path, LEB, k)
+        values = one_path(SINE, 1.2, 0.1, n=n, m=8, seed=13)
+        obs, edge_values, (anchors, sizes, q) = path_summaries(values, n, 8, LEB, k)
         N = np.sum(score_terms(1.2, 1.2, SINE, anchors, sizes, q)) / np.sqrt(n)
         I = np.sum(info_terms(1.2, 1.2, SINE, anchors, q)) / n
         edges, ev = block_edges(n, k), edge_values[0]
@@ -218,8 +219,8 @@ class TestScoreAndInfo:
     def test_single_mean_tail_block_degenerates_to_two_by_two(self):
         # n=9, k=4: blocks of sizes 5, 5 and a final one of 2 increments
         # whose covariance is the corner 2x2 matrix [[v1, c], [c, v2]].
-        path = simulate_path(SINE, 1.1, 0.2, n=9, m=8, seed=19)
-        obs, edge_values, (anchors, sizes, qforms) = path_summaries(path, LEB, 4)
+        values = one_path(SINE, 1.1, 0.2, n=9, m=8, seed=19)
+        obs, edge_values, (anchors, sizes, qforms) = path_summaries(values, 9, 8, LEB, 4)
         assert list(sizes) == [5, 5, 2]
         _, tail = aug_increments(obs, edge_values, 4)
         corner = np.array([[V_LEB.v1, V_LEB.c], [V_LEB.c, V_LEB.v2]])
@@ -269,8 +270,8 @@ class TestXiObs:
 
 class TestQuasiLoglik:
     def test_derivative_matches_score_terms(self):
-        path = simulate_path(SINE, 1.3, 0.2, n=16, m=8, seed=4)
-        _, _, (anchors, sizes, q) = path_summaries(path, LEB, 4)
+        values = one_path(SINE, 1.3, 0.2, n=16, m=8, seed=4)
+        _, _, (anchors, sizes, q) = path_summaries(values, 16, 8, LEB, 4)
         objective = _QuasiObjective(SINE, anchors[0], sizes, q[0], 16)
         eps = 1e-5
         for theta in (0.9, 1.3, 2.1):
@@ -279,8 +280,8 @@ class TestQuasiLoglik:
             assert fd == pytest.approx(score, rel=1e-6)
 
     def test_multiplicative_closed_form_maximum(self):
-        path = simulate_path(MULT, 1.4, 0.0, n=64, m=8, seed=6)
-        _, _, (anchors, sizes, q) = path_summaries(path, LEB, 8)
+        values = one_path(MULT, 1.4, 0.0, n=64, m=8, seed=6)
+        _, _, (anchors, sizes, q) = path_summaries(values, 64, 8, LEB, 8)
         objective = _QuasiObjective(MULT, anchors[0], sizes, q[0], 64)
         theta_star = np.sqrt(q.sum() / sizes.sum())
         best = objective.loglik(theta_star)
@@ -288,8 +289,8 @@ class TestQuasiLoglik:
             assert objective.loglik(theta_star + delta) < best
 
     def test_anchor_shift_invariance_multiplicative(self):
-        path = simulate_path(MULT, 1.0, 0.0, n=16, m=8, seed=8)
-        _, _, (anchors, sizes, q) = path_summaries(path, LEB, 4)
+        values = one_path(MULT, 1.0, 0.0, n=16, m=8, seed=8)
+        _, _, (anchors, sizes, q) = path_summaries(values, 16, 8, LEB, 4)
         base = _QuasiObjective(MULT, anchors[0], sizes, q[0], 16)
         shifted = _QuasiObjective(MULT, anchors[0] + 5.0, sizes, q[0], 16)
         assert base.loglik(1.2) == pytest.approx(shifted.loglik(1.2), rel=1e-14)
