@@ -13,6 +13,7 @@ explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -143,7 +144,7 @@ def cmd_simulate(args) -> int:
     n = int(_opt(args, file_cfg, "n", 256))
     m = int(_opt(args, file_cfg, "m", 32))
     seed = int(_opt(args, file_cfg, "seed", DEFAULT_SEED))
-    xi0 = _finite_xi0(_opt(args, file_cfg, "xi0", model.default_xi0))
+    xi0 = _finite_xi0(_opt(args, file_cfg, "xi0", 0.0))
     augmented = bool(getattr(args, "augmented", False) or file_cfg.get("augmented", False))
     out = _opt(args, file_cfg, "out", "-")
 
@@ -270,7 +271,7 @@ def cmd_estimate(args) -> int:
     measure_spec = _parse_measure(_opt(args, file_cfg, "measure"))
     measure = measure_from_spec(measure_spec)
     coeffs = v_coefficients(measure)
-    xi0 = _finite_xi0(_opt(args, file_cfg, "xi0", model.default_xi0))
+    xi0 = _finite_xi0(_opt(args, file_cfg, "xi0", 0.0))
     theta_init = _opt(args, file_cfg, "theta_init")
     source = _opt(args, file_cfg, "input", "-")
     out = _opt(args, file_cfg, "out", "-")
@@ -330,20 +331,22 @@ def cmd_verify(args) -> int:
     out = _opt(args, file_cfg, "out", "report")
 
     # Any of these fields replaces the default suite by bare per-experiment
-    # configs; the seed alone reseeds the default suite.
+    # configs; the seed alone reseeds the default suite.  A config file's
+    # tolerances apply to either.
     seed = int(_opt(args, file_cfg, "seed", DEFAULT_SEED))
     overrides = {field: convert(value) for key, (field, convert) in _VERIFY_OVERRIDES.items()
                  if (value := _opt(args, file_cfg, key)) is not None}
 
     if overrides:
-        if "tolerances" in file_cfg:
-            overrides["tolerances"] = dict(file_cfg["tolerances"])
         names = [e for e in selected if e != "all"] or sorted(EXPERIMENTS)
         configs = [ExperimentConfig(experiment=name, seed=seed, **overrides) for name in names]
     else:
         configs = default_verify_configs(seed)
         if "all" not in selected:
             configs = [c for c in configs if c.experiment in selected]
+    if "tolerances" in file_cfg:
+        tolerances = dict(file_cfg["tolerances"])
+        configs = [dataclasses.replace(c, tolerances=tolerances) for c in configs]
 
     reports = [run_experiment(cfg, workers) for cfg in configs]
     report = merge_reports(reports)

@@ -9,8 +9,10 @@ aggregation is order-independent.
 
 Replications run in chunks whose ranges depend on the workload alone,
 never on the worker count.  A chunk holds one path array, capped by
-_CHUNK_BUDGET.  The full-grid runs (expansion, information, estimator)
-split each grid into two chunks, so the Euler loop of a state-dependent
+_CHUNK_BUDGET, and sends back a few values per replication, never a path
+or its means: the exact oracle runs inside the chunk.  The full-grid runs
+(expansion, information, estimator) split each grid into two chunks
+unless the budget asks for more, so the Euler loop of a state-dependent
 model steps many rows at once; their per-row results do not depend on the
 split.  The other runs keep eight chunks per grid, because for them the
 partition is part of the output: chi2 keys one stream by each chunk's
@@ -69,8 +71,8 @@ _STREAM_TAG = {
 }
 
 # Memory budget of a chunk's one path array, rows x (cells*m + 1), in
-# doubles (256 MiB).
-_CHUNK_BUDGET = 1 << 25
+# doubles (128 MiB).
+_CHUNK_BUDGET = 1 << 24
 
 # Chunks per grid (see the module docstring).
 _FULL_GRID_PIECES = 2
@@ -237,7 +239,7 @@ def _score_info_arrays(anchors, sizes, q, theta0, model, n):
 
 
 def _expansion_chunk(args):
-    (model_name, measure_spec, theta0, xi0, n, m, k, seed, stream, r0, r1) = args
+    (model_name, measure_spec, theta0, xi0, n, m, k, seed, stream, r0, r1, h) = args
     model = get_model(model_name)
     measure = measure_from_spec(measure_spec)
     coeffs = v_coefficients(measure)
@@ -246,8 +248,15 @@ def _expansion_chunk(args):
     obs = observe_values(values, measure, n, m)
     anchors, sizes, q = obs_summaries(obs, xi0, k, coeffs)
     N, I = _score_info_arrays(anchors, sizes, q, theta0, model, n)
-    pinfo = path_information(model, values, theta0)
-    return {"obs": obs, "N": N, "I": I, "pinfo": pinfo}
+    out = {"N": N, "I": I}
+    if not model.scale_family:
+        out["pinfo"] = path_information(model, values, theta0)
+    if model.scaled_brownian:
+        # The oracle is exact for X_0 = 0.  mu has mass 1, so the means of
+        # xi0 + theta B are xi0 plus theta times the means of B.
+        out["log_z"] = exact_llr(build_base_cov(n, measure), obs - xi0,
+                                 theta0, theta0 + h / math.sqrt(n))
+    return out
 
 
 def _information_chunk(args):
@@ -260,8 +269,10 @@ def _information_chunk(args):
     obs = observe_values(values, measure, n, m)
     anchors, sizes, q = aug_summaries(obs, values[:, block_edges(n, k) * m], k, coeffs)
     N, I = _score_info_arrays(anchors, sizes, q, theta0, model, n)
-    pinfo = path_information(model, values, theta0)
-    return {"N": N, "I": I, "pinfo": pinfo}
+    out = {"N": N, "I": I}
+    if not model.scale_family:
+        out["pinfo"] = path_information(model, values, theta0)
+    return out
 
 
 def _coupling_chunk(args):
@@ -327,8 +338,9 @@ def _estimator_chunk(args):
     if "means_only" in estimators:
         anchors, sizes, q = obs_summaries(obs, xi0, k, coeffs)
         out["theta_obs"], out["info_obs"] = _solve_rows(model, anchors, sizes, q, n, theta_init)
-    if "exact_mle" in estimators:
-        out["obs"] = obs
+    if "exact_mle" in estimators and model.scaled_brownian:
+        # The oracle's means start at 0 (see _expansion_chunk).
+        out["theta_mle"] = exact_mle(build_base_cov(n, measure), obs - xi0)
     return out
 
 
@@ -408,6 +420,13 @@ def _report(cfg: ExperimentConfig, rows: _Rows, t0: float) -> ExperimentReport:
                             runtime_s=time.perf_counter() - t0)
 
 
+def _info_budget(cfg, results) -> float:
+    """Mean path information 2 int ((da/dtheta)/a)^2 ds: 2/theta0^2 for a scale family."""
+    if get_model(cfg.model).scale_family:
+        return 2.0 / cfg.theta0**2
+    return float(np.mean(_gather(results, "pinfo")))
+
+
 def _path_chunk_args(cfg, n, k, n_index, extra=()):
     stream = (_STREAM_TAG[cfg.experiment], n_index)
     pieces = _PIECES if cfg.experiment == "coupling" else _FULL_GRID_PIECES
@@ -424,15 +443,14 @@ def run_expansion(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     rows = _Rows(cfg)
     M = cfg.replications
     has_oracle = get_model(cfg.model).scaled_brownian
-    measure = measure_from_spec(cfg.measure)
     residual_track = []
     for i, n in enumerate(cfg.n_list):
         k = resolve_k(cfg.k_rule, n)
-        results = _map_chunks(_expansion_chunk, _path_chunk_args(cfg, n, k, i), workers)
+        args = _path_chunk_args(cfg, n, k, i, extra=(cfg.h,))
+        results = _map_chunks(_expansion_chunk, args, workers)
         N = _gather(results, "N")
         I = _gather(results, "I")
-        pinfo = _gather(results, "pinfo")
-        info_budget = float(np.mean(pinfo))
+        info_budget = _info_budget(cfg, results)
         mean_N, se_N = _mean_se(N)
         mean_I, se_I = _mean_se(I)
         rows.add(n, k, M, "mean_score_stat", mean_N, se_N, 0.0, 0.5)
@@ -443,12 +461,7 @@ def run_expansion(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             rows.add(n, k, M, "var_score_stat", v_N, se_vN,
                      (k - 1) / k * info_budget, 0.25 * (k - 1) / k * info_budget)
             continue
-        # obs stays bound until the next grid's gather replaces it.  Freed
-        # right after the oracle, it left the heap fragmented for the next
-        # grid and raised the peak RSS of repeated runs by one chunk of means.
-        obs = _gather(results, "obs")
-        theta1 = cfg.theta0 + cfg.h / math.sqrt(n)
-        log_z = exact_llr(build_base_cov(n, measure), obs, cfg.theta0, theta1)
+        log_z = _gather(results, "log_z")
         mean_z, se_z = _mean_se(log_z)
         var_z, se_vz = _var_se(log_z)
         target_mean = -0.5 * cfg.h**2 * info_budget
@@ -481,8 +494,7 @@ def run_information(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport
         results = _map_chunks(_information_chunk, _path_chunk_args(cfg, n, k, i), workers)
         N = _gather(results, "N")
         I = _gather(results, "I")
-        info_budget = float(np.mean(_gather(results, "pinfo")))
-        target = (k + 1) / k * info_budget
+        target = (k + 1) / k * _info_budget(cfg, results)
         mean_I, se_I = _mean_se(I)
         var_N, se_vN = _var_se(N)
         rows.add(n, k, M, "mean_info_stat", mean_I, se_I, target, 0.10 * target)
@@ -570,13 +582,15 @@ def run_estimator(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     Scale-family models carry the analytic bound; for path-dependent
     sensitivities the bound is the sampled mean inverse information, and the
     per-path standardization is the check that the limit is mixed normal.
+    The exact MLE is reported only for scaled Brownian models, the one case
+    with an exact oracle.
     """
     t0 = time.perf_counter()
     rows = _Rows(cfg)
     M = cfg.replications
-    measure = measure_from_spec(cfg.measure)
     theta0 = cfg.theta0
-    deterministic_info = get_model(cfg.model).scale_family
+    model = get_model(cfg.model)
+    deterministic_info = model.scale_family
     for i, n in enumerate(cfg.n_list):
         k = resolve_k(cfg.k_rule, n)
         args = _path_chunk_args(cfg, n, k, i, extra=(tuple(cfg.estimators),))
@@ -600,8 +614,8 @@ def run_estimator(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             else:
                 target = float(np.mean(1.0 / info_hat))
             _estimator_rows(rows, n, k, M, "means_only", z, info_hat, target, 0.25 * target)
-        if "exact_mle" in cfg.estimators:
-            z = root_n * (exact_mle(build_base_cov(n, measure), _gather(results, "obs")) - theta0)
+        if "exact_mle" in cfg.estimators and model.scaled_brownian:
+            z = root_n * (_gather(results, "theta_mle") - theta0)
             var_z, se_vz = _var_se(z)
             target = theta0**2 / 2.0
             rows.add(n, k, M, "var_sqrtn_err_exact_mle", var_z, se_vz, target, 0.20 * target)

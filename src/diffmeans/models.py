@@ -44,7 +44,6 @@ class DiffusionModel:
     b: Callable
     theta_interval: tuple[float, float]
     a_lower: float
-    default_xi0: float = 0.0
     scaled_brownian: bool = False
     scale_family: bool = False
 
@@ -105,7 +104,6 @@ REGISTRY: dict[str, DiffusionModel] = {
         b=_zero,
         theta_interval=(0.5, 3.0),
         a_lower=0.5,
-        default_xi0=0.0,
         scaled_brownian=True,
         scale_family=True,
     ),

@@ -328,6 +328,18 @@ class TestVerifyCommand:
                         "--out", str(tmp_path / "r")])
         assert code == 1
 
+    def test_default_suite_takes_config_tolerances(self, tmp_path):
+        # No override flag: the default chi2 run still takes the file's band.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"delta_mean": [50.0, 0.1]}}))
+        out = tmp_path / "r"
+        code = run_cli(["verify", "--experiment", "chi2", "--config", str(cfg),
+                        "--workers", "1", "--out", str(out)])
+        assert code == 1
+        rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+        delta_mean = next(row for row in rows if row[4] == "delta_mean")
+        assert float(delta_mean[7]) == 50.0 and delta_mean[9] == "0"
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"M": 64000, "seed": 3}))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffmeans.experiments import (
+    _CHUNK_BUDGET,
     ExperimentConfig,
     _chunk_ranges,
     _estimator_chunk,
@@ -30,7 +31,7 @@ from diffmeans.experiments import (
 )
 
 PINNED_SMALL_CSV_SHA256 = "21ac73db792cbee98ec0f59f0a13f7c55275d743d297840b228305949d6123d8"
-PINNED_ORACLE_CSV_SHA256 = "6554be36a8877f7f5ebfa6cde40b2933b901b7f7d76c78963f99846c8d89311c"
+PINNED_ORACLE_CSV_SHA256 = "f047e4cc8738f68797d07cf343e1eb87128fe02eb4e53fbeb9db57051c994552"
 
 
 def pinned_oracle_configs():
@@ -158,6 +159,8 @@ class TestReports:
     def test_pinned_oracle_csv_bytes(self):
         # The rows computed by the exact oracle (log-likelihood ratios and
         # the closed-form MLE), pinned at numpy 2.4.6 like the digest above.
+        # At theta0 = 1.3 the analytic information 2/theta0^2 sets the
+        # expansion targets; the trapezoid mean differed in the last bits.
         text = merge_reports([run_experiment(c) for c in pinned_oracle_configs()]).to_csv_text()
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ORACLE_CSV_SHA256
 
@@ -170,8 +173,10 @@ class TestChunkPartition:
            measure=st.sampled_from([{"kind": "lebesgue"}, {"kind": "atomic", "atoms": [[0.5, 1.0]]}]),
            n=st.integers(2, 24), k=st.integers(1, 24), m=st.sampled_from([2, 4]),
            reps=st.integers(1, 9), cuts=st.sets(st.integers(1, 8)),
-           theta0=st.floats(0.6, 2.5), xi0=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1))
-    def test_any_split_matches_one_call(self, model, measure, n, k, m, reps, cuts, theta0, xi0, seed):
+           theta0=st.floats(0.6, 2.5), xi0=st.floats(-1.0, 1.0), h=st.floats(-0.4, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_split_matches_one_call(self, model, measure, n, k, m, reps, cuts, theta0, xi0, h,
+                                        seed):
         # k below n leaves a partial last block unless k divides n; pieces
         # of one row are included.
         k = min(k, n)
@@ -185,7 +190,7 @@ class TestChunkPartition:
             (_tails_chunk, lambda r0, r1: (*head, seed, (5, 0), r0, r1)),
         ]
         if k >= 2:
-            chunk_fns.append((_expansion_chunk, lambda r0, r1: (*head, k, seed, (1, 0), r0, r1)))
+            chunk_fns.append((_expansion_chunk, lambda r0, r1: (*head, k, seed, (1, 0), r0, r1, h)))
         for fn, args in chunk_fns:
             whole = fn(args(0, reps))
             parts = [fn(args(r0, r1)) for r0, r1 in pieces]
@@ -205,8 +210,9 @@ class TestChunkPartition:
 
     def test_default_suite_partition(self):
         # Two chunks per grid for the full-grid runs, unless the memory
-        # budget caps them (expansion at n = 4096); eight per grid for
-        # coupling, whose BLAS products round differently with the row count.
+        # budget caps them (n = 1024 and 4096 at 2000 replications, n = 4096
+        # at 500); eight per grid for coupling, whose BLAS products round
+        # differently with the row count.
         counts = {}
         for cfg in default_verify_configs():
             if cfg.experiment in ("chi2", "tails"):
@@ -215,13 +221,52 @@ class TestChunkPartition:
                 args = _path_chunk_args(cfg, n, resolve_k(cfg.k_rule, n), i)
                 starts, stops = [a[9] for a in args], [a[10] for a in args]
                 assert starts == [0] + stops[:-1] and stops[-1] == cfg.replications
+                assert max(r1 - r0 for r0, r1 in zip(starts, stops)) * (n * cfg.m + 1) <= _CHUNK_BUDGET
                 counts.setdefault(cfg.run_id, []).append(len(args))
         assert counts == {
-            "expansion": [2, 2, 8],
-            "information_k1": [2], "information_k10": [2], "information_log2": [2],
+            "expansion": [2, 4, 16],
+            "information_k1": [2], "information_k10": [2], "information_log2": [4],
             "coupling": [8] * 7,
             "estimator_augmented": [2], "estimator_means_only": [2], "estimator_mixed_normal": [2],
         }
+
+
+class TestChunkOutputs:
+    """Full-grid chunks send back per-replication values, never paths or means."""
+
+    @staticmethod
+    def _outputs(model, xi0):
+        # Rows 3..8 of n = 32 means under a two-atom measure.
+        head = (model, {"kind": "atomic", "atoms": [[0.25, 0.5], [0.75, 0.5]]}, 1.2, xi0, 32, 4, 4, 11)
+        estimators = ("augmented", "means_only", "exact_mle")
+        return {
+            "expansion": _expansion_chunk((*head, (1, 0), 3, 8, 1.0)),
+            "information": _information_chunk((*head, (2, 0), 3, 8)),
+            "estimator": _estimator_chunk((*head, (6, 0), 3, 8, estimators)),
+        }
+
+    @pytest.mark.parametrize("model", ["multiplicative_bm", "sine_scale", "cauchy_scale"])
+    def test_only_one_value_per_replication(self, model):
+        outputs = self._outputs(model, 0.5)
+        for name, out in outputs.items():
+            for key, value in out.items():
+                assert value.shape == (5,), f"{name} {key}"
+        oracle = model == "multiplicative_bm"
+        assert ("log_z" in outputs["expansion"]) == oracle
+        assert ("theta_mle" in outputs["estimator"]) == oracle
+        # Scale families take the analytic information; only cauchy_scale
+        # integrates it along each path.
+        assert ("pinfo" in outputs["information"]) == (model == "cauchy_scale")
+
+    def test_oracle_is_free_of_the_start(self):
+        # The oracle is exact for paths started at 0; the chunk shifts the
+        # means by xi0 first, so the same increments give the same values.
+        at_zero = self._outputs("multiplicative_bm", 0.0)
+        at_one = self._outputs("multiplicative_bm", 1.0)
+        np.testing.assert_allclose(at_one["expansion"]["log_z"], at_zero["expansion"]["log_z"],
+                                   rtol=1e-9)
+        np.testing.assert_allclose(at_one["estimator"]["theta_mle"],
+                                   at_zero["estimator"]["theta_mle"], rtol=1e-9)
 
 
 class TestExpansion:

@@ -69,6 +69,16 @@ class TestPathInformation:
         values = one_path(SINE, 2.0, 0.0, n=16, m=8, seed=1)
         assert path_information(SINE, values, 2.0)[0] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("model", [MULT, SINE])
+    def test_scale_family_is_two_over_theta_squared(self, model):
+        # The experiments take 2/theta^2 for scale families instead of this
+        # integral: exact at theta = 1, last bits elsewhere.
+        values, _ = simulate_values(model, 1.0, 0.3, 16, 8, seed=5, reps=3)
+        assert np.all(path_information(model, values, 1.0) == 2.0)
+        for theta in (1.3, 2.5):
+            np.testing.assert_allclose(path_information(model, values, theta), 2.0 / theta**2,
+                                       rtol=1e-15, atol=0.0)
+
     def test_cauchy_zero_path(self):
         assert path_information(CAUCHY, np.zeros((1, 129)), 1.0)[0] == pytest.approx(0.5, abs=1e-12)
 
