@@ -253,9 +253,10 @@ def _expansion_chunk(args):
         out["pinfo"] = path_information(model, values, theta0)
     if model.scaled_brownian:
         # The oracle is exact for X_0 = 0.  mu has mass 1, so the means of
-        # xi0 + theta B are xi0 plus theta times the means of B.
-        out["log_z"] = exact_llr(build_base_cov(n, measure), obs - xi0,
-                                 theta0, theta0 + h / math.sqrt(n))
+        # xi0 + theta B are xi0 plus theta times the means of B.  Shifted in
+        # place, as obs has no later use and a copy would raise the peak.
+        obs -= xi0
+        out["log_z"] = exact_llr(build_base_cov(n, measure), obs, theta0, theta0 + h / math.sqrt(n))
     return out
 
 
@@ -340,7 +341,8 @@ def _estimator_chunk(args):
         out["theta_obs"], out["info_obs"] = _solve_rows(model, anchors, sizes, q, n, theta_init)
     if "exact_mle" in estimators and model.scaled_brownian:
         # The oracle's means start at 0 (see _expansion_chunk).
-        out["theta_mle"] = exact_mle(build_base_cov(n, measure), obs - xi0)
+        obs -= xi0
+        out["theta_mle"] = exact_mle(build_base_cov(n, measure), obs)
     return out
 
 
