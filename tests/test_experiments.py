@@ -159,8 +159,8 @@ class TestReports:
     def test_pinned_oracle_csv_bytes(self):
         # The rows computed by the exact oracle (log-likelihood ratios and
         # the closed-form MLE), pinned at numpy 2.4.6 like the digest above.
-        # At theta0 = 1.3 the analytic information 2/theta0^2 sets the
-        # expansion targets; the trapezoid mean differed in the last bits.
+        # At theta0 = 1.3 the expansion targets come from the analytic
+        # information 2/theta0^2.
         text = merge_reports([run_experiment(c) for c in pinned_oracle_configs()]).to_csv_text()
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ORACLE_CSV_SHA256
 
