@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimate import _QuasiObjective, _solve
+from .estimate import solve_rows
 from .exact_oracle import build_base_cov, exact_llr, exact_mle
 from .measures import measure_from_spec, v_coefficients
 from .models import get_model, path_information
@@ -332,30 +332,17 @@ def _estimator_chunk(args):
                                 stream=stream, rep_offset=r0)
     obs = observe_values(values, measure, n, m)
     out = {}
-    theta_init = 0.5 * (model.theta_interval[0] + model.theta_interval[1])
     if "augmented" in estimators:
-        anchors, sizes, q = aug_summaries(obs, values[:, block_edges(n, k) * m], k, coeffs)
-        out["theta_aug"], out["info_aug"] = _solve_rows(model, anchors, sizes, q, n, theta_init)
+        res = solve_rows(model, *aug_summaries(obs, values[:, block_edges(n, k) * m], k, coeffs), n)
+        out["theta_aug"], out["info_aug"] = res.theta_hat, res.info_at_hat
     if "means_only" in estimators:
-        anchors, sizes, q = obs_summaries(obs, xi0, k, coeffs)
-        out["theta_obs"], out["info_obs"] = _solve_rows(model, anchors, sizes, q, n, theta_init)
+        res = solve_rows(model, *obs_summaries(obs, xi0, k, coeffs), n)
+        out["theta_obs"], out["info_obs"] = res.theta_hat, res.info_at_hat
     if "exact_mle" in estimators and model.scaled_brownian:
         # The oracle's means start at 0 (see _expansion_chunk).
         obs -= xi0
         out["theta_mle"] = exact_mle(build_base_cov(n, measure), obs)
     return out
-
-
-def _solve_rows(model, anchors, sizes, q, n, theta_init):
-    R = anchors.shape[0]
-    theta_hat = np.empty(R)
-    info_hat = np.empty(R)
-    for r in range(R):
-        res = _solve(_QuasiObjective(model, anchors[r], sizes, q[r], n),
-                     model.theta_interval, theta_init)
-        theta_hat[r] = res.theta_hat
-        info_hat[r] = res.info_at_hat
-    return theta_hat, info_hat
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ class DiffusionModel:
     """Coefficients of one parametric diffusion family.
 
     ``a`` and ``a_dot`` take (x, theta); ``b`` takes x.  All three accept
-    numpy arrays in x.  ``a_lower`` is the non-degeneracy floor: a(x, theta)
-    stays at or above it for theta in ``theta_interval``.
+    numpy arrays in x, and ``a`` and ``a_dot`` a theta that broadcasts
+    against x, such as an R x 1 column against R x B anchors.  ``a_lower``
+    is the non-degeneracy floor: a(x, theta) stays at or above it for
+    theta in ``theta_interval``.
 
     Two declarations, checked by ``validate_registry``, select exact
     shortcuts: ``scaled_brownian`` (a free of x and b = 0, so X is
@@ -58,12 +60,21 @@ class DiffusionModel:
         return self.a_dot(x, theta) / self.a(x, theta)
 
 
+def _const(x, theta, value):
+    """``value`` over the broadcast shape of x and theta; a float when both are scalars."""
+    if not (np.ndim(x) or np.ndim(theta)):
+        return float(value)
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(theta)))
+    out[...] = value
+    return out
+
+
 def _const_a(x, theta):
-    return np.full_like(np.asarray(x, dtype=float), float(theta)) if np.ndim(x) else float(theta)
+    return _const(x, theta, theta)
 
 
 def _const_one(x, theta):
-    return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
+    return _const(x, theta, 1.0)
 
 
 def _zero(x):
@@ -159,9 +170,9 @@ def path_information(model: DiffusionModel, values, theta: float):
     return out
 
 
-def row_blocks(values: np.ndarray):
-    """Slices of about ``_BLOCK_DOUBLES`` elements over the rows of a 2-D array."""
-    step = max(1, _BLOCK_DOUBLES // values.shape[1])
+def row_blocks(values: np.ndarray, doubles: int = _BLOCK_DOUBLES):
+    """Slices of about ``doubles`` elements over the rows of a 2-D array."""
+    step = max(1, doubles // values.shape[1])
     return [slice(s, s + step) for s in range(0, values.shape[0], step)]
 
 

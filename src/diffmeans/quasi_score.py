@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import VCoefficients
+from .models import row_blocks
 from .simulate import block_edges
 
 __all__ = [
@@ -38,6 +39,10 @@ __all__ = [
     "score_terms",
     "info_terms",
 ]
+
+
+# Row-block size of quadratic_forms, in doubles (512 KiB).
+_QFORM_BLOCK_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,20 +94,26 @@ def factor_tridiagonal(K: TriKMatrix):
 
 
 def quadratic_forms(K: TriKMatrix, U: np.ndarray) -> np.ndarray:
-    """u K^{-1} u^T for each row u of U, via one factorization."""
+    """u K^{-1} u^T for each row u of U, via one factorization.
+
+    Rows are swept in blocks of about ``_QFORM_BLOCK_DOUBLES``, each
+    transposed so that the recursion runs along contiguous rows.
+    """
     if U.shape[1] != K.size:
         raise ValueError(f"vectors of length {U.shape[1]} against matrix of size {K.size}")
     sub, piv = factor_tridiagonal(K)
-    y = U.T.copy()
-    for i in range(1, K.size):
-        y[i] -= sub[i] * y[i - 1]
-    # One sequential sum per row, whatever the row count: an R = 1 call
-    # gives the bits of the same row in a batch.  An overflow yields inf,
-    # which the callers' finite checks refuse.
+    # One sequential sum per row, whatever the row count or block: an
+    # R = 1 call gives the bits of the same row in a batch.  An overflow
+    # yields inf, which the callers' finite checks refuse.
     q = np.zeros(U.shape[0])
-    with np.errstate(over="ignore"):
-        for i in range(K.size):
-            q += y[i] * (y[i] / piv[i])
+    for rows in row_blocks(U, _QFORM_BLOCK_DOUBLES):
+        y = U[rows].T.copy()
+        for i in range(1, K.size):
+            y[i] -= sub[i] * y[i - 1]
+        q_rows = q[rows]
+        with np.errstate(over="ignore"):
+            for i in range(K.size):
+                q_rows += y[i] * (y[i] / piv[i])
     return q
 
 

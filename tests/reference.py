@@ -2,14 +2,19 @@
 
 Each is the direct, slow form of something the package computes another
 way: pointwise mass functions, dense matrices, a dense covariance built
-from its definition, a generic tridiagonal solve and numeric quadrature.
+from its definition, a generic tridiagonal solve, numeric quadrature and
+a scalar safeguarded Newton solver, one path at a time.
 """
+
+import math
 
 import numpy as np
 
+from diffmeans.estimate import EstimateResult
 from diffmeans.exact_oracle import GaussianObsModel, _min_moments
 from diffmeans.measures import VCoefficients, WeightMeasure, _segments, mean_weights
-from diffmeans.quasi_score import TriKMatrix, factor_tridiagonal
+from diffmeans.models import DiffusionModel
+from diffmeans.quasi_score import TriKMatrix, factor_tridiagonal, info_terms, score_terms
 
 
 def _check_point(s: float) -> float:
@@ -114,3 +119,80 @@ def dense_cov(gm: GaussianObsModel) -> np.ndarray:
     cov = np.minimum.outer(idx, idx) + first_moment
     np.fill_diagonal(cov, idx + min_moment)
     return cov / gm.n
+
+
+class QuasiObjective:
+    """Score, slope, and objective of the quasi-log-likelihood of one path's block summaries."""
+
+    def __init__(self, model: DiffusionModel, anchors, sizes, qforms, n: int):
+        self.model = model
+        self.anchors = anchors
+        self.sizes = sizes
+        self.qforms = qforms
+        self.n = n
+
+    def score(self, theta: float) -> float:
+        """The quasi-score at theta; a non-finite score raises ValueError."""
+        s = float(np.sum(score_terms(theta, theta, self.model, self.anchors, self.sizes,
+                                     self.qforms)))
+        if not math.isfinite(s):
+            raise ValueError(f"non-finite quasi-score {s!r} at theta = {theta!r}")
+        return s
+
+    def slope(self, theta: float) -> float:
+        # Derivative of the quadratic-form part only; the recentering part
+        # has zero mean at the optimum, so this is the scoring slope.
+        return float(-np.sum(info_terms(theta, theta, self.model, self.anchors, self.qforms)))
+
+    def loglik(self, theta: float) -> float:
+        """Gaussian quasi-log-likelihood, additive constants dropped."""
+        a2 = self.model.a(self.anchors, theta) ** 2
+        return float(-0.5 * np.sum(self.sizes * np.log(a2) + self.qforms / a2))
+
+    def observed_info(self, theta: float) -> float:
+        return -self.slope(theta) / self.n
+
+
+def solve(objective: QuasiObjective, interval, theta_init: float,
+          tol: float = 1e-8, max_iter: int = 200) -> EstimateResult:
+    """Scalar safeguarded Newton on the score, with bisection fallbacks."""
+    lo, hi = interval
+    if not lo <= theta_init <= hi:
+        raise ValueError(f"theta_init={theta_init} outside [{lo}, {hi}]")
+    s_lo = objective.score(lo)
+    s_hi = objective.score(hi)
+    iterations = 2
+
+    if abs(s_lo) <= tol or abs(s_hi) <= tol or s_lo * s_hi > 0.0:
+        # No sign change: an endpoint root, or no interior stationary point.
+        for theta, s in ((lo, s_lo), (hi, s_hi)):
+            if abs(s) <= tol:
+                return EstimateResult(theta, iterations, s, objective.observed_info(theta), False)
+        f_lo, f_hi = objective.loglik(lo), objective.loglik(hi)
+        theta, s = (lo, s_lo) if f_lo >= f_hi else (hi, s_hi)
+        return EstimateResult(theta, iterations, s, objective.observed_info(theta), True)
+
+    theta = float(theta_init)
+    s = objective.score(theta)
+    iterations += 1
+    b_lo, b_hi = lo, hi
+    sign_lo = np.sign(s_lo)
+    for _ in range(max_iter):
+        if abs(s) <= tol or b_hi - b_lo < 1e-14:
+            break
+        if np.sign(s) == sign_lo:
+            b_lo = theta
+        else:
+            b_hi = theta
+        slope = objective.slope(theta)
+        candidate = theta - s / slope if slope != 0.0 else np.nan
+        if not b_lo < candidate < b_hi:
+            candidate = 0.5 * (b_lo + b_hi)
+        s_candidate = objective.score(candidate)
+        iterations += 1
+        if abs(s_candidate) >= abs(s) and not abs(s_candidate) <= tol:
+            candidate = 0.5 * (b_lo + b_hi)
+            s_candidate = objective.score(candidate)
+            iterations += 1
+        theta, s = candidate, s_candidate
+    return EstimateResult(float(theta), iterations, float(s), objective.observed_info(theta), False)

@@ -1,14 +1,20 @@
+import dataclasses
 import hashlib
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffmeans.cli import main
-from diffmeans.measures import WeightMeasure
-from diffmeans.models import get_model
-from diffmeans.simulate import observe_values, simulate_values
+from diffmeans.cli import _parse_measure, _read_observation_csv, main
+from diffmeans.estimate import estimate_augmented, estimate_means_only
+from diffmeans.measures import WeightMeasure, measure_from_spec, v_coefficients
+from diffmeans.models import REGISTRY, get_model
+from diffmeans.simulate import block_edges, observe_values, simulate_values
 
 
 # sine_scale through a mixture measure at n = 37, k = 36: the augmented CSV
@@ -289,6 +295,47 @@ class TestEstimateCommand:
         payload = json.loads(out.read_text())
         assert isinstance(payload["boundary_hit"], bool)
         assert 2.0 <= payload["theta_hat"] <= 3.0
+
+
+class TestRoundTrip:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(REGISTRY)), st.sampled_from(["lebesgue", "dirac:0.5", PIN_MIXTURE]),
+           st.floats(0.8, 2.0), st.floats(-1.0, 1.0), st.integers(2, 60), st.integers(2, 6),
+           st.integers(1, 60), st.integers(0, 2**31 - 1), st.booleans())
+    def test_simulate_reads_back_and_estimate_matches_arrays(self, model, measure, theta, xi0, n,
+                                                             m, k, seed, augmented):
+        # The CSV simulate writes parses back to the simulated arrays
+        # exactly, and the estimate JSON equals estimate_* on those arrays.
+        k = min(k, n) if augmented else min(max(k, 2), n)
+        common = ["--model", model, "--measure", measure, "--m", str(m), f"--xi0={xi0!r}"]
+        mdl = get_model(model)
+        coeffs = v_coefficients(measure_from_spec(_parse_measure(measure)))
+        values, _ = simulate_values(mdl, theta, xi0, n, m, seed, reps=1)
+        obs = observe_values(values, measure_from_spec(_parse_measure(measure)), n, m)[0]
+        with tempfile.TemporaryDirectory() as tmp:
+            csv, est = os.path.join(tmp, "obs.csv"), os.path.join(tmp, "est.json")
+            sim = ["simulate", *common, f"--theta={theta!r}", "--n", str(n), "--seed", str(seed),
+                   "--out", csv]
+            if augmented:
+                sim += ["--augmented", "--k", f"fixed:{k}"]
+            assert run_cli(sim) == 0
+            with open(csv) as f:
+                parsed = _read_observation_csv(f.read())
+            assert run_cli(["estimate", *common, "--k", f"fixed:{k}", "--in", csv,
+                            "--out", est]) == 0
+            with open(est) as f:
+                payload = json.load(f)
+        if augmented:
+            edge_values = values[0, block_edges(n, k) * m]
+            assert parsed[0] == "augmented" and parsed[3] == k
+            assert np.array_equal(parsed[1], obs) and np.array_equal(parsed[2], edge_values)
+            expected = estimate_augmented(obs, edge_values, mdl, coeffs, k)
+        else:
+            assert parsed[0] == "means" and np.array_equal(parsed[1], obs)
+            expected = estimate_means_only(obs, xi0, mdl, coeffs, k)
+        assert type(payload["iterations"]) is int and type(payload["boundary_hit"]) is bool
+        assert {key: payload[key] for key in dataclasses.asdict(expected)} == dataclasses.asdict(
+            expected)
 
 
 class TestVerifyCommand:

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffmeans.estimate import estimate_augmented, estimate_means_only
+from diffmeans.estimate import estimate_augmented, estimate_means_only, solve_rows
 from diffmeans.exact_oracle import build_base_cov
 from diffmeans.measures import WeightMeasure, v_coefficients
-from diffmeans.models import get_model
-from diffmeans.quasi_score import augmented_block_cov, interior_block_cov, quadratic_forms
+from diffmeans.models import REGISTRY, get_model
+from diffmeans.quasi_score import (
+    aug_summaries,
+    augmented_block_cov,
+    interior_block_cov,
+    quadratic_forms,
+)
 from diffmeans.simulate import block_edges, observe_values, simulate_values
 
 from conftest import one_path
+from reference import QuasiObjective, solve
 
 MULT = get_model("multiplicative_bm")
 SINE = get_model("sine_scale")
@@ -137,3 +145,133 @@ class TestMeansOnlyEstimator:
             estimate_means_only(obs[r], 0.0, MULT, coeffs, k=k).theta_hat for r in range(reps)
         ]
         assert abs(np.mean(hats) - 2.0) < 0.08
+
+
+# Row kinds of the solver tests: an interior root near the drawn theta, q
+# scaled by 10^2 or 0.01^2 (an upper or lower boundary hit), or q scaled
+# so that the score vanishes at an endpoint.
+ROW_KINDS = ("plain", "upper", "lower", "root_lo", "root_hi")
+
+
+def row_summaries(model, theta0, kind, sizes, rng):
+    """(anchors, qforms) of one row of block summaries of the given kind."""
+    anchors = 0.3 * np.cumsum(rng.standard_normal(sizes.size))
+    q = model.a(anchors, theta0) ** 2 * rng.chisquare(sizes)
+    if kind == "upper":
+        q *= 100.0
+    elif kind == "lower":
+        q *= 1e-4
+    elif kind in ("root_lo", "root_hi"):
+        theta = model.theta_interval[0 if kind == "root_lo" else 1]
+        r = model.rel_sensitivity(anchors, theta)
+        q *= np.sum(r * sizes) / np.sum(r * q / model.a(anchors, theta) ** 2)
+    return anchors, q
+
+
+def batch_summaries(model, thetas, kinds, sizes, seed):
+    rng = np.random.default_rng(seed)
+    rows = [row_summaries(model, t, kind, sizes, rng) for t, kind in zip(thetas, kinds)]
+    return np.array([a for a, _ in rows]), np.array([q for _, q in rows])
+
+
+class RecordingObjective(QuasiObjective):
+    """The reference objective, recording every score and slope evaluation."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def score(self, theta):
+        s = super().score(theta)
+        self.calls.append(("score", theta, s))
+        return s
+
+    def slope(self, theta):
+        v = super().slope(theta)
+        self.calls.append(("slope", theta, v))
+        return v
+
+
+def took_bisection(calls) -> bool:
+    """Whether a step evaluated anything but the Newton point of its slope."""
+    for i, (kind, theta, slope) in enumerate(calls):
+        if kind != "slope":
+            continue
+        s = [c[2] for c in calls[:i] if c[0] == "score" and c[1] == theta][-1]
+        evaluated = []
+        for c in calls[i + 1 :]:
+            if c[0] == "slope":
+                break
+            evaluated.append(c[1])
+        if evaluated and evaluated != [theta - s / slope]:
+            return True
+    return False
+
+
+class TestSolveRows:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(REGISTRY)), st.integers(1, 9), st.integers(1, 12),
+           st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_rows_match_scalar_reference(self, name, R, blocks, size, tail, data):
+        model = get_model(name)
+        lo, hi = model.theta_interval
+        sizes = np.append(np.full(blocks, size), min(tail, size))
+        thetas = data.draw(st.lists(st.floats(lo, hi), min_size=R, max_size=R))
+        kinds = data.draw(st.lists(st.sampled_from(ROW_KINDS), min_size=R, max_size=R))
+        theta_init = data.draw(st.sampled_from([None, lo, hi]) | st.floats(lo, hi))
+        anchors, q = batch_summaries(model, thetas, kinds, sizes, data.draw(st.integers(0, 2**32 - 1)))
+        n = int(sizes.sum())
+        res = solve_rows(model, anchors, sizes, q, n, theta_init)
+        start = 0.5 * (lo + hi) if theta_init is None else theta_init
+        for r in range(R):
+            ref = solve(QuasiObjective(model, anchors[r], sizes, q[r], n), (lo, hi), start)
+            assert res.row(r) == ref
+            assert solve_rows(model, anchors[r : r + 1], sizes, q[r : r + 1], n,
+                              theta_init).row(0) == ref
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_row_kinds_reach_every_branch(self, name):
+        # The kinds the property draws do reach each branch of the solver.
+        model = get_model(name)
+        lo, hi = model.theta_interval
+        sizes = np.full(10, 11)
+        kinds = ["plain", "upper", "lower", "root_lo", "root_hi"]
+        anchors, q = batch_summaries(model, [0.6, 1.0, 1.0, 1.0, 1.0], kinds, sizes, seed=3)
+        res = solve_rows(model, anchors, sizes, q, 110)
+        np.testing.assert_array_equal(res.theta_hat[1:], [hi, lo, lo, hi])
+        np.testing.assert_array_equal(res.boundary_hit, [False, True, True, False, False])
+        np.testing.assert_array_equal(res.iterations[1:], [2, 2, 2, 2])
+        assert abs(res.score_at_hat[0]) <= 1e-8 and lo < res.theta_hat[0] < hi
+        objective = RecordingObjective(model, anchors[0], sizes, q[0], 110)
+        solve(objective, (lo, hi), 0.5 * (lo + hi))
+        assert took_bisection(objective.calls)
+
+    def test_score_zero_at_both_ends_takes_lower_end(self):
+        # Zero quadratic forms and sizes: every theta is a root, and the
+        # lower endpoint is checked first.
+        anchors, sizes, q = np.zeros((2, 3)), np.zeros(3), np.zeros((2, 3))
+        res = solve_rows(MULT, anchors, sizes, q, 4)
+        ref = solve(QuasiObjective(MULT, anchors[0], sizes, q[0], 4), MULT.theta_interval, 1.75)
+        assert res.row(0) == res.row(1) == ref
+        assert ref.theta_hat == MULT.theta_interval[0] and not ref.boundary_hit
+
+    def test_non_finite_score_raises(self):
+        anchors = np.zeros((3, 4))
+        q = np.ones((3, 4))
+        q[1, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite quasi-score inf at theta = 0.5"):
+            solve_rows(MULT, anchors, np.full(4, 2), q, 8)
+
+    def test_theta_init_outside_interval(self):
+        with pytest.raises(ValueError, match="outside parameter interval"):
+            solve_rows(MULT, np.zeros((1, 2)), np.full(2, 2), np.ones((1, 2)), 4, theta_init=0.1)
+
+    def test_estimate_returns_python_scalars(self):
+        obs, edge_values = augmented_data(one_path(SINE, 1.2, 0.0, n=64, m=8, seed=4), 64, 8, 8)
+        res = estimate_augmented(obs, edge_values, SINE, V_LEB, 8)
+        assert [type(v) for v in (res.theta_hat, res.iterations, res.score_at_hat,
+                                  res.info_at_hat, res.boundary_hit)] == [
+            float, int, float, float, bool]
+        anchors, sizes, q = aug_summaries(obs[None, :], edge_values[None, :], 8, V_LEB)
+        assert res == solve(QuasiObjective(SINE, anchors[0], sizes, q[0], 64),
+                            SINE.theta_interval, 1.75)

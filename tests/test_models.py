@@ -127,3 +127,22 @@ def test_theta_interval_enforced():
         MULT.check_theta(4.0)
     with pytest.raises(ValueError):
         simulate_values(MULT, 0.2, 0.0, n=4, m=4, seed=0, reps=1)
+
+
+@pytest.mark.parametrize("model", list(REGISTRY.values()), ids=lambda mdl: mdl.name)
+def test_theta_column_matches_scalar_rows(model, rng):
+    # theta of shape (R, 1) against x of shape (R, B): each row equals the
+    # call with that row's scalar theta, bit for bit.
+    lo, hi = model.theta_interval
+    x = rng.uniform(-10.0, 10.0, size=(6, 9))
+    thetas = np.append(rng.uniform(lo, hi, size=5), hi)[:, None]
+    for coeff in (model.a, model.a_dot, model.rel_sensitivity):
+        got = coeff(x, thetas)
+        assert got.shape == x.shape
+        for r in range(x.shape[0]):
+            assert np.array_equal(got[r], coeff(x[r], float(thetas[r, 0])))
+    b = model.b(x)
+    assert b.shape == x.shape
+    for r in range(x.shape[0]):
+        assert np.array_equal(b[r], model.b(x[r]))
+    validate_registry()

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffmeans.estimate import _QuasiObjective
+from diffmeans.estimate import quasi_loglik
 from diffmeans.measures import WeightMeasure, v_coefficients
+from diffmeans import quasi_score
 from diffmeans.models import get_model
 from diffmeans.quasi_score import (
     TriKMatrix,
@@ -272,28 +273,41 @@ class TestQuasiLoglik:
     def test_derivative_matches_score_terms(self):
         values = one_path(SINE, 1.3, 0.2, n=16, m=8, seed=4)
         _, _, (anchors, sizes, q) = path_summaries(values, 16, 8, LEB, 4)
-        objective = _QuasiObjective(SINE, anchors[0], sizes, q[0], 16)
         eps = 1e-5
         for theta in (0.9, 1.3, 2.1):
-            fd = (objective.loglik(theta + eps) - objective.loglik(theta - eps)) / (2 * eps)
-            score = np.sum(score_terms(theta, theta, SINE, anchors, sizes, q))
-            assert fd == pytest.approx(score, rel=1e-6)
+            fd = (quasi_loglik(theta + eps, SINE, anchors, sizes, q)
+                  - quasi_loglik(theta - eps, SINE, anchors, sizes, q)) / (2 * eps)
+            score = np.sum(score_terms(theta, theta, SINE, anchors, sizes, q), axis=1)
+            assert fd[0] == pytest.approx(score[0], rel=1e-6)
 
     def test_multiplicative_closed_form_maximum(self):
         values = one_path(MULT, 1.4, 0.0, n=64, m=8, seed=6)
         _, _, (anchors, sizes, q) = path_summaries(values, 64, 8, LEB, 8)
-        objective = _QuasiObjective(MULT, anchors[0], sizes, q[0], 64)
         theta_star = np.sqrt(q.sum() / sizes.sum())
-        best = objective.loglik(theta_star)
-        for delta in (-0.05, 0.05):
-            assert objective.loglik(theta_star + delta) < best
+        thetas = np.array([[theta_star - 0.05], [theta_star], [theta_star + 0.05]])
+        f = quasi_loglik(thetas, MULT, np.repeat(anchors, 3, axis=0), sizes,
+                         np.repeat(q, 3, axis=0))
+        assert f[0] < f[1] and f[2] < f[1]
 
     def test_anchor_shift_invariance_multiplicative(self):
         values = one_path(MULT, 1.0, 0.0, n=16, m=8, seed=8)
         _, _, (anchors, sizes, q) = path_summaries(values, 16, 8, LEB, 4)
-        base = _QuasiObjective(MULT, anchors[0], sizes, q[0], 16)
-        shifted = _QuasiObjective(MULT, anchors[0] + 5.0, sizes, q[0], 16)
-        assert base.loglik(1.2) == pytest.approx(shifted.loglik(1.2), rel=1e-14)
+        f = quasi_loglik(1.2, MULT, np.vstack([anchors, anchors + 5.0]), sizes,
+                         np.vstack([q, q]))
+        assert f[0] == pytest.approx(f[1], rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["multiplicative_bm", "sine_scale", "cauchy_scale"])
+    def test_theta_column_matches_scalar_rows(self, name, rng):
+        # Each row at its own theta gives the bits of that row alone.
+        model = get_model(name)
+        anchors = rng.standard_normal((5, 9))
+        q = rng.chisquare(4, size=(5, 9))
+        sizes = np.full(9, 4)
+        thetas = rng.uniform(*model.theta_interval, size=(5, 1))
+        f = quasi_loglik(thetas, model, anchors, sizes, q)
+        for r in range(5):
+            one = quasi_loglik(float(thetas[r, 0]), model, anchors[r : r + 1], sizes, q[r : r + 1])
+            assert f[r] == one[0]
 
 
 class TestBatchedCore:
@@ -320,3 +334,27 @@ class TestBatchedCore:
                 np.testing.assert_array_equal(a1[0], anchors[row])
                 np.testing.assert_array_equal(s1, sizes)
                 np.testing.assert_array_equal(q1[0], q[row])
+
+    @pytest.mark.parametrize("build", ["aug", "obs"])
+    def test_rows_across_qform_blocks(self, build):
+        # More block rows than one sweep of quadratic_forms holds, the last
+        # sweep partial: every row keeps the bits of its R = 1 call.
+        R, n, k = 80, 1024, 10
+        size = k + 1 if build == "aug" else k - 1
+        per_block = quasi_score._QFORM_BLOCK_DOUBLES // size
+        assert per_block < R * (n // k) and R * (n // k) % per_block
+        r = np.random.default_rng(size)
+        obs = r.standard_normal((R, n)).cumsum(axis=1)
+        edge_values = r.standard_normal((R, block_edges(n, k).size))
+        coeffs = v_coefficients(WeightMeasure.dirac(0.25))
+
+        def summarize(rows):
+            if build == "aug":
+                return aug_summaries(obs[rows], edge_values[rows], k, coeffs)
+            return obs_summaries(obs[rows], 0.3, k, coeffs)
+
+        anchors, sizes, q = summarize(slice(None))
+        for row in range(R):
+            a1, s1, q1 = summarize(slice(row, row + 1))
+            assert np.array_equal(q1[0], q[row])
+            assert np.array_equal(a1[0], anchors[row])
