@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffmeans import quasi_score
 from diffmeans.estimate import quasi_loglik
 from diffmeans.measures import WeightMeasure, v_coefficients
-from diffmeans import quasi_score
 from diffmeans.models import get_model
 from diffmeans.quasi_score import (
     TriKMatrix,
