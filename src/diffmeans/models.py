@@ -20,7 +20,8 @@ __all__ = [
     "path_information",
 ]
 
-# Row-block size, in doubles (1 MiB), for passes over a batch of fine-grid paths.
+# Row-block size, in doubles (1 MiB), for passes over a batch of rows: fine-grid
+# paths, and the block increments of quasi_score.quadratic_forms.
 _BLOCK_DOUBLES = 1 << 17
 
 
@@ -170,9 +171,9 @@ def path_information(model: DiffusionModel, values, theta: float):
     return out
 
 
-def row_blocks(values: np.ndarray, doubles: int = _BLOCK_DOUBLES):
-    """Slices of about ``doubles`` elements over the rows of a 2-D array."""
-    step = max(1, doubles // values.shape[1])
+def row_blocks(values: np.ndarray):
+    """Slices of about ``_BLOCK_DOUBLES`` elements over the rows of a 2-D array."""
+    step = max(1, _BLOCK_DOUBLES // values.shape[1])
     return [slice(s, s + step) for s in range(0, values.shape[0], step)]
 
 

@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 
-# Row-block size of quadratic_forms, in doubles (512 KiB).
-_QFORM_BLOCK_DOUBLES = 1 << 16
-
-
 @dataclass(frozen=True)
 class TriKMatrix:
     """Symmetric tridiagonal matrix with constant off-diagonal."""
@@ -96,7 +92,7 @@ def factor_tridiagonal(K: TriKMatrix):
 def quadratic_forms(K: TriKMatrix, U: np.ndarray) -> np.ndarray:
     """u K^{-1} u^T for each row u of U, via one factorization.
 
-    Rows are swept in blocks of about ``_QFORM_BLOCK_DOUBLES``, each
+    Rows are swept in the cache-sized blocks of ``models.row_blocks``, each
     transposed so that the recursion runs along contiguous rows.
     """
     if U.shape[1] != K.size:
@@ -106,7 +102,7 @@ def quadratic_forms(K: TriKMatrix, U: np.ndarray) -> np.ndarray:
     # R = 1 call gives the bits of the same row in a batch.  An overflow
     # yields inf, which the callers' finite checks refuse.
     q = np.zeros(U.shape[0])
-    for rows in row_blocks(U, _QFORM_BLOCK_DOUBLES):
+    for rows in row_blocks(U):
         y = U[rows].T.copy()
         for i in range(1, K.size):
             y[i] -= sub[i] * y[i - 1]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffmeans import quasi_score
+from diffmeans import models
 from diffmeans.estimate import quasi_loglik
 from diffmeans.measures import WeightMeasure, v_coefficients
 from diffmeans.models import get_model
@@ -339,9 +339,10 @@ class TestBatchedCore:
     def test_rows_across_qform_blocks(self, build):
         # More block rows than one sweep of quadratic_forms holds, the last
         # sweep partial: every row keeps the bits of its R = 1 call.
-        R, n, k = 80, 1024, 10
+        n, k = 1024, 10
         size = k + 1 if build == "aug" else k - 1
-        per_block = quasi_score._QFORM_BLOCK_DOUBLES // size
+        per_block = models._BLOCK_DOUBLES // size
+        R = per_block // (n // k) + 1
         assert per_block < R * (n // k) and R * (n // k) % per_block
         r = np.random.default_rng(size)
         obs = r.standard_normal((R, n)).cumsum(axis=1)
