@@ -364,8 +364,9 @@ def main(argv=None) -> int:
     handlers = {"simulate": cmd_simulate, "estimate": cmd_estimate, "verify": cmd_verify}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the size it could not allocate.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

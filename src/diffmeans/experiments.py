@@ -10,14 +10,19 @@ aggregation is order-independent.
 Replications run in chunks whose ranges depend on the workload alone,
 never on the worker count.  A chunk holds one path array, capped by
 _CHUNK_BUDGET, and sends back a few values per replication, never a path
-or its means: the exact oracle runs inside the chunk.  The full-grid runs
-(expansion, information, estimator) split each grid into two chunks
-unless the budget asks for more, so the Euler loop of a state-dependent
-model steps many rows at once; their per-row results do not depend on the
-split.  The other runs keep eight chunks per grid, because for them the
-partition is part of the output: chi2 keys one stream by each chunk's
-start, and coupling's BLAS products round differently with the row
-count.  tails keeps its eight cheap chunks as well.
+or its means: the exact oracle runs inside the chunk.  A full-grid chunk
+holds its path only until it has taken the means, the block-edge values
+and the path information; the summaries, the solver and the oracle run
+on those alone, so the chunk's peak is its path plus its means.
+
+The full-grid runs (expansion, information, estimator) split each grid
+into two chunks unless the budget asks for more, so the Euler loop of a
+state-dependent model steps many rows at once; their per-row results do
+not depend on the split.  The other runs keep eight chunks per grid,
+because for them the partition is part of the output: chi2 keys one
+stream by each chunk's start, and coupling's BLAS products round
+differently with the row count.  tails keeps its eight cheap chunks as
+well.
 
   expansion    log-likelihood-ratio expansion against the exact Gaussian oracle
   information  mean observed information / variance of the score statistic
@@ -71,7 +76,8 @@ _STREAM_TAG = {
 }
 
 # Memory budget of a chunk's one path array, rows x (cells*m + 1), in
-# doubles (128 MiB).
+# doubles (128 MiB).  A full-grid chunk frees the path once its means are
+# taken, so its peak is the path plus its means (rows x n).
 _CHUNK_BUDGET = 1 << 24
 
 # Chunks per grid (see the module docstring).
@@ -246,11 +252,12 @@ def _expansion_chunk(args):
     values, _ = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
                                 stream=stream, rep_offset=r0)
     obs = observe_values(values, measure, n, m)
-    anchors, sizes, q = obs_summaries(obs, xi0, k, coeffs)
-    N, I = _score_info_arrays(anchors, sizes, q, theta0, model, n)
-    out = {"N": N, "I": I}
+    out = {}
     if not model.scale_family:
         out["pinfo"] = path_information(model, values, theta0)
+    # The path's last read: the summaries and the oracle take only its means.
+    del values
+    out["N"], out["I"] = _score_info_arrays(*obs_summaries(obs, xi0, k, coeffs), theta0, model, n)
     if model.scaled_brownian:
         # The oracle is exact for X_0 = 0.  mu has mass 1, so the means of
         # xi0 + theta B are xi0 plus theta times the means of B.  Shifted in
@@ -268,11 +275,14 @@ def _information_chunk(args):
     values, _ = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
                                 stream=stream, rep_offset=r0)
     obs = observe_values(values, measure, n, m)
-    anchors, sizes, q = aug_summaries(obs, values[:, block_edges(n, k) * m], k, coeffs)
-    N, I = _score_info_arrays(anchors, sizes, q, theta0, model, n)
-    out = {"N": N, "I": I}
+    edge_values = values[:, block_edges(n, k) * m]
+    out = {}
     if not model.scale_family:
         out["pinfo"] = path_information(model, values, theta0)
+    # The path's last read (see _expansion_chunk).
+    del values
+    out["N"], out["I"] = _score_info_arrays(*aug_summaries(obs, edge_values, k, coeffs),
+                                            theta0, model, n)
     return out
 
 
@@ -331,9 +341,12 @@ def _estimator_chunk(args):
     values, _ = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
                                 stream=stream, rep_offset=r0)
     obs = observe_values(values, measure, n, m)
+    edge_values = values[:, block_edges(n, k) * m]
+    # The path's last read (see _expansion_chunk).
+    del values
     out = {}
     if "augmented" in estimators:
-        res = solve_rows(model, *aug_summaries(obs, values[:, block_edges(n, k) * m], k, coeffs), n)
+        res = solve_rows(model, *aug_summaries(obs, edge_values, k, coeffs), n)
         out["theta_aug"], out["info_aug"] = res.theta_hat, res.info_at_hat
     if "means_only" in estimators:
         res = solve_rows(model, *obs_summaries(obs, xi0, k, coeffs), n)

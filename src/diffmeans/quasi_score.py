@@ -133,7 +133,7 @@ def aug_increments(obs, edge_values, k: int):
     U = np.empty((R, L, k + 1))
     U[:, :, 0] = means[:, :, 0] - edge_values[:, :L]
     if k > 1:
-        U[:, :, 1:k] = np.diff(means, axis=2)
+        np.subtract(means[:, :, 1:], means[:, :, :-1], out=U[:, :, 1:k])
     U[:, :, k] = edge_values[:, 1 : L + 1] - means[:, :, -1]
     U *= root_n
     if tail == 0:
@@ -182,7 +182,8 @@ def obs_summaries(obs, xi0: float, k: int, coeffs: VCoefficients):
     L, tail = divmod(n, k)
     root_n = math.sqrt(n)
     means = obs[:, : L * k].reshape(R, L, k)
-    U = root_n * np.diff(means, axis=2)
+    U = np.diff(means, axis=2)
+    U *= root_n
     q = quadratic_forms(interior_block_cov(k, coeffs), U.reshape(R * L, k - 1)).reshape(R, L)
     anchors = np.empty((R, L))
     anchors[:, 0] = xi0
@@ -191,7 +192,8 @@ def obs_summaries(obs, xi0: float, k: int, coeffs: VCoefficients):
     sizes = np.full(L, k - 1)
     if tail >= 2:
         means_t = obs[:, L * k :]
-        U_t = root_n * np.diff(means_t, axis=1)
+        U_t = np.diff(means_t, axis=1)
+        U_t *= root_n
         q_t = quadratic_forms(interior_block_cov(tail, coeffs), U_t)
         anchors = np.hstack([anchors, obs[:, L * k - 1 : L * k]])
         sizes = np.append(sizes, tail - 1)

@@ -71,6 +71,34 @@ def test_non_finite_measure_exits_2_without_output(command, spec, message, tmp_p
     assert [p.name for p in tmp_path.iterdir()] == ["obs.csv"]
 
 
+_NUMPY_MESSAGE = ("Unable to allocate 23.3 TiB for an array with shape (1, 3200000000001) "
+                  "and data type float64")
+
+
+@pytest.mark.parametrize("error,message", [
+    (MemoryError(_NUMPY_MESSAGE), _NUMPY_MESSAGE),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy_message", "bare"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_allocation_failure_exits_2_without_output(command, error, message, tmp_path,
+                                                   monkeypatch, capsys):
+    # The failure is patched in: a real oversized request could succeed
+    # under an overcommitting kernel and then be killed.
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("diffmeans.cli.simulate_values", out_of_memory)
+    monkeypatch.setattr("diffmeans.experiments.simulate_values", out_of_memory)
+    argv = {"simulate": ["simulate", "--n", "100000000000"],
+            "verify": ["verify", "--experiment", "tails", "--n", "64", "--M", "100",
+                       "--m", "100000000000", "--workers", "1"]}[command]
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulateCommand:
     def test_means_only_header_and_rows(self, tmp_path):
         out = tmp_path / "obs.csv"

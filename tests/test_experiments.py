@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffmeans import models
 from diffmeans.experiments import (
     _CHUNK_BUDGET,
     ExperimentConfig,
@@ -29,6 +31,7 @@ from diffmeans.experiments import (
     run_experiment,
     run_information,
 )
+from diffmeans.simulate import block_edges
 
 PINNED_SMALL_CSV_SHA256 = "21ac73db792cbee98ec0f59f0a13f7c55275d743d297840b228305949d6123d8"
 PINNED_ORACLE_CSV_SHA256 = "f047e4cc8738f68797d07cf343e1eb87128fe02eb4e53fbeb9db57051c994552"
@@ -267,6 +270,44 @@ class TestChunkOutputs:
                                    rtol=1e-9)
         np.testing.assert_allclose(at_one["estimator"]["theta_mle"],
                                    at_zero["estimator"]["theta_mle"], rtol=1e-9)
+
+
+class TestChunkMemory:
+    """A full-grid chunk frees its path once it has taken what it reads of it.
+
+    The traced peak may then be the path, its means and its block-edge
+    values, all computed from the shapes, plus one row block of doubles:
+    the row-blocked sweeps (observe_values, path_information,
+    quadratic_forms) each hold about one block of temporaries.  Kept
+    alive, the path would also carry the summaries' and the oracle's
+    R x n temporaries, several times that margin here.
+    """
+
+    N, M_SUB, K, ROWS = 1024, 2, 10, 200
+    MARGIN = 8 * models._BLOCK_DOUBLES
+
+    @pytest.mark.parametrize("model", ["multiplicative_bm", "sine_scale"])
+    @pytest.mark.parametrize("worker", ["expansion", "information", "estimator"])
+    def test_peak_is_path_plus_means(self, model, worker):
+        n, m, k, R = self.N, self.M_SUB, self.K, self.ROWS
+        head = (model, {"kind": "atomic", "atoms": [[0.5, 1.0]]}, 1.0, 0.0, n, m, k, 7)
+        fn, args = {
+            "expansion": (_expansion_chunk, (*head, (1, 0), 0, R, 1.0)),
+            "information": (_information_chunk, (*head, (2, 0), 0, R)),
+            "estimator": (_estimator_chunk,
+                          (*head, (6, 0), 0, R, ("augmented", "means_only", "exact_mle"))),
+        }[worker]
+        fn(args)  # caches and lazy imports stay out of the trace
+        tracemalloc.start()
+        try:
+            fn(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        path_bytes = 8 * R * (n * m + 1)
+        means_bytes = 8 * R * n
+        edge_bytes = 0 if worker == "expansion" else 8 * R * block_edges(n, k).size
+        assert peak <= path_bytes + means_bytes + edge_bytes + self.MARGIN
 
 
 class TestExpansion:
