@@ -22,6 +22,6 @@ from .quasi_score import (
     quadratic_forms,
     score_terms,
 )
-from .simulate import block_edges, observe_values, simulate_values
+from .simulate import block_edges, observe_values, rep_rngs, simulate_values
 
 __version__ = "0.1.0"

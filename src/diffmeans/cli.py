@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .measures import measure_from_spec, measure_to_spec, v_coefficients
 from .models import get_model
-from .simulate import block_edges, observe_values, path_to_csv, simulate_values
+from .simulate import block_edges, observe_values, path_to_csv, rep_rngs, simulate_values
 
 
 def _parse_measure(value) -> dict:
@@ -151,7 +151,8 @@ def cmd_simulate(args) -> int:
     if n < 2:
         raise ValueError("need n >= 2 observation cells")
     dump = _opt(args, file_cfg, "dump_path")
-    values, dW = simulate_values(model, theta, xi0, n, m, seed, reps=1, increments=bool(dump))
+    values, dW = simulate_values(model, theta, xi0, n, m, rep_rngs(seed, (), 0, 1),
+                                 increments=bool(dump))
     obs = observe_values(values, measure, n, m)[0]
     if dump:
         _write_text(dump, path_to_csv(values[0], dW[0]))

@@ -8,21 +8,23 @@ fixed-size chunk of cheap replications) owns a counter-based stream, and
 aggregation is order-independent.
 
 Replications run in chunks whose ranges depend on the workload alone,
-never on the worker count.  A chunk holds one path array, capped by
-_CHUNK_BUDGET, and sends back a few values per replication, never a path
-or its means: the exact oracle runs inside the chunk.  A full-grid chunk
-holds its path only until it has taken the means, the block-edge values
-and the path information; the summaries, the solver and the oracle run
-on those alone, so the chunk's peak is its path plus its means.
+never on the worker count.  A chunk sends back a few values per
+replication, never a path or its means: the exact oracle runs inside the
+chunk.  A full-grid chunk (expansion, information, estimator) walks its
+grid in time slices of whole cells, each at most _CHUNK_BUDGET doubles,
+and takes each slice's means, block-edge values and path information
+before it draws the next; the summaries, the solver and the oracle run
+on those alone, so the chunk's peak is one slice plus its means.
 
-The full-grid runs (expansion, information, estimator) split each grid
-into two chunks unless the budget asks for more, so the Euler loop of a
-state-dependent model steps many rows at once; their per-row results do
-not depend on the split.  The other runs keep eight chunks per grid,
-because for them the partition is part of the output: chi2 keys one
-stream by each chunk's start, and coupling's BLAS products round
-differently with the row count.  tails keeps its eight cheap chunks as
-well.
+A state-dependent model's grid is split into two chunks, so its Euler
+loop steps many rows at once, slice after slice.  A scaled Brownian
+chunk holds whole paths (one slice), its rows bounded by the budget: a
+cumulative sum costs the same per row in any batch.  Per-row results
+depend on neither the split nor the slices.  The other runs keep eight
+chunks per grid, because for them the partition is part of the output:
+chi2 keys one stream by each chunk's start, and coupling's BLAS products
+round differently with the row count (its rows are sized by its k cells,
+not the whole grid).  tails keeps its eight cheap chunks as well.
 
   expansion    log-likelihood-ratio expansion against the exact Gaussian oracle
   information  mean observed information / variance of the score statistic
@@ -47,7 +49,8 @@ from .exact_oracle import build_base_cov, exact_llr, exact_mle
 from .measures import measure_from_spec, v_coefficients
 from .models import get_model, path_information
 from .quasi_score import aug_summaries, info_terms, obs_summaries, score_terms
-from .simulate import block_edges, coupled_increments_values, observe_values, rep_rng, simulate_values
+from .simulate import (block_edges, coupled_increments_values, observe_values, rep_rng, rep_rngs,
+                       simulate_values)
 
 __all__ = [
     "ExperimentConfig",
@@ -75,10 +78,11 @@ _STREAM_TAG = {
     "estimator": 6,
 }
 
-# Memory budget of a chunk's one path array, rows x (cells*m + 1), in
-# doubles (128 MiB).  A full-grid chunk frees the path once its means are
-# taken, so its peak is the path plus its means (rows x n).
-_CHUNK_BUDGET = 1 << 24
+# Memory budget, in doubles (32 MiB), of each path array a chunk holds:
+# one time slice, rows x (cells*m + 1), of a state-dependent chunk's grid,
+# or the whole path of a scaled Brownian chunk.  A full-grid chunk's peak
+# is one such array plus its means (rows x n).
+_CHUNK_BUDGET = 1 << 22
 
 # Chunks per grid (see the module docstring).
 _FULL_GRID_PIECES = 2
@@ -244,20 +248,52 @@ def _score_info_arrays(anchors, sizes, q, theta0, model, n):
 # chunk workers (top-level for pickling)
 
 
+def _slice_cells(rows: int, n: int, m: int) -> int:
+    """Cells per time slice of a chunk: as many as _CHUNK_BUDGET holds, at least one."""
+    return min(n, max(1, (_CHUNK_BUDGET // rows - 1) // m))
+
+
+def _grid_means(model, measure, theta0, xi0, n, m, seed, stream, r0, r1, edges=None, info=False):
+    """Walk rows r0..r1 of a grid in time slices; returns (means, edge values, path information).
+
+    Each slice is one simulate_values call of whole cells, at most
+    _CHUNK_BUDGET doubles, that continues the rows' streams from the last
+    slice's end.  Its means go straight into the R x n means array, and
+    the path values at the cells ``edges`` and, when ``info``, the path
+    information are taken from it before it is freed.  Every draw, step
+    and mean is the one a single call over the whole grid gives.
+    """
+    R = r1 - r0
+    cells = _slice_cells(R, n, m)
+    rngs = rep_rngs(seed, stream, r0, r1)
+    obs = np.zeros((R, n))
+    edge_values = None if edges is None else np.empty((R, edges.size))
+    pinfo = np.zeros(R) if info else None
+    start = xi0
+    for c0 in range(0, n, cells):
+        c1 = min(c0 + cells, n)
+        values, _ = simulate_values(model, theta0, start, n, m, rngs, cells=c1 - c0)
+        observe_values(values, measure, c1 - c0, m, out=obs[:, c0:c1])
+        if edges is not None:
+            inside = (edges >= c0) & (edges <= c1)
+            edge_values[:, inside] = values[:, (edges[inside] - c0) * m]
+        if info:
+            path_information(model, values, theta0, m, 1.0 / (n * m), pinfo)
+        start = values[:, -1].copy()
+        # Freed before the next slice is allocated.
+        del values
+    return obs, edge_values, pinfo
+
+
 def _expansion_chunk(args):
     (model_name, measure_spec, theta0, xi0, n, m, k, seed, stream, r0, r1, h) = args
     model = get_model(model_name)
     measure = measure_from_spec(measure_spec)
-    coeffs = v_coefficients(measure)
-    values, _ = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
-                                stream=stream, rep_offset=r0)
-    obs = observe_values(values, measure, n, m)
-    out = {}
-    if not model.scale_family:
-        out["pinfo"] = path_information(model, values, theta0)
-    # The path's last read: the summaries and the oracle take only its means.
-    del values
-    out["N"], out["I"] = _score_info_arrays(*obs_summaries(obs, xi0, k, coeffs), theta0, model, n)
+    obs, _, pinfo = _grid_means(model, measure, theta0, xi0, n, m, seed, stream, r0, r1,
+                                info=not model.scale_family)
+    out = {} if pinfo is None else {"pinfo": pinfo}
+    out["N"], out["I"] = _score_info_arrays(*obs_summaries(obs, xi0, k, v_coefficients(measure)),
+                                            theta0, model, n)
     if model.scaled_brownian:
         # The oracle is exact for X_0 = 0.  mu has mass 1, so the means of
         # xi0 + theta B are xi0 plus theta times the means of B.  Shifted in
@@ -271,18 +307,11 @@ def _information_chunk(args):
     (model_name, measure_spec, theta0, xi0, n, m, k, seed, stream, r0, r1) = args
     model = get_model(model_name)
     measure = measure_from_spec(measure_spec)
-    coeffs = v_coefficients(measure)
-    values, _ = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
-                                stream=stream, rep_offset=r0)
-    obs = observe_values(values, measure, n, m)
-    edge_values = values[:, block_edges(n, k) * m]
-    out = {}
-    if not model.scale_family:
-        out["pinfo"] = path_information(model, values, theta0)
-    # The path's last read (see _expansion_chunk).
-    del values
-    out["N"], out["I"] = _score_info_arrays(*aug_summaries(obs, edge_values, k, coeffs),
-                                            theta0, model, n)
+    obs, edge_values, pinfo = _grid_means(model, measure, theta0, xi0, n, m, seed, stream, r0, r1,
+                                          edges=block_edges(n, k), info=not model.scale_family)
+    out = {} if pinfo is None else {"pinfo": pinfo}
+    summaries = aug_summaries(obs, edge_values, k, v_coefficients(measure))
+    out["N"], out["I"] = _score_info_arrays(*summaries, theta0, model, n)
     return out
 
 
@@ -290,8 +319,8 @@ def _coupling_chunk(args):
     (model_name, measure_spec, theta0, xi0, n, m, k, seed, stream, r0, r1) = args
     model = get_model(model_name)
     measure = measure_from_spec(measure_spec)
-    values, dW = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
-                                 stream=stream, rep_offset=r0, cells=k, increments=True)
+    values, dW = simulate_values(model, theta0, xi0, n, m, rep_rngs(seed, stream, r0, r1),
+                                 cells=k, increments=True)
     obs = observe_values(values, measure, k, m)
     root_n = math.sqrt(n)
     R = obs.shape[0]
@@ -323,8 +352,7 @@ def _tails_chunk(args):
     (model_name, measure_spec, theta0, xi0, n, m, seed, stream, r0, r1) = args
     model = get_model(model_name)
     measure = measure_from_spec(measure_spec)
-    values, _ = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
-                                stream=stream, rep_offset=r0, cells=1)
+    values, _ = simulate_values(model, theta0, xi0, n, m, rep_rngs(seed, stream, r0, r1), cells=1)
     obs = observe_values(values, measure, 1, m)
     root_n = math.sqrt(n)
     return {
@@ -338,12 +366,8 @@ def _estimator_chunk(args):
     model = get_model(model_name)
     measure = measure_from_spec(measure_spec)
     coeffs = v_coefficients(measure)
-    values, _ = simulate_values(model, theta0, xi0, n, m, seed, reps=r1 - r0,
-                                stream=stream, rep_offset=r0)
-    obs = observe_values(values, measure, n, m)
-    edge_values = values[:, block_edges(n, k) * m]
-    # The path's last read (see _expansion_chunk).
-    del values
+    obs, edge_values, _ = _grid_means(model, measure, theta0, xi0, n, m, seed, stream, r0, r1,
+                                      edges=block_edges(n, k))
     out = {}
     if "augmented" in estimators:
         res = solve_rows(model, *aug_summaries(obs, edge_values, k, coeffs), n)
@@ -431,10 +455,17 @@ def _info_budget(cfg, results) -> float:
 
 def _path_chunk_args(cfg, n, k, n_index, extra=()):
     stream = (_STREAM_TAG[cfg.experiment], n_index)
-    pieces = _PIECES if cfg.experiment == "coupling" else _FULL_GRID_PIECES
-    ranges = _chunk_ranges(cfg.replications, n * cfg.m + 1, pieces)
+    m = cfg.m
+    if cfg.experiment == "coupling":
+        ranges = _chunk_ranges(cfg.replications, k * m + 1)
+    elif get_model(cfg.model).scaled_brownian:
+        # Whole paths: a cumulative sum costs the same per row in any batch.
+        ranges = _chunk_ranges(cfg.replications, n * m + 1, _FULL_GRID_PIECES)
+    else:
+        # Walked in slices: the budget bounds the means and a one-cell slice.
+        ranges = _chunk_ranges(cfg.replications, n + m + 1, _FULL_GRID_PIECES)
     return [
-        (cfg.model, cfg.measure, cfg.theta0, cfg.xi0, n, cfg.m, k, cfg.seed, stream, r0, r1, *extra)
+        (cfg.model, cfg.measure, cfg.theta0, cfg.xi0, n, m, k, cfg.seed, stream, r0, r1, *extra)
         for r0, r1 in ranges
     ]
 

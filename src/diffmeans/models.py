@@ -156,24 +156,36 @@ def info_integrand(model: DiffusionModel, x, theta: float):
     return r * r
 
 
-def path_information(model: DiffusionModel, values, theta: float):
-    """Trapezoid approximation of 2 * int_0^1 ((da/dtheta)/a)^2(X_s, theta) ds.
+def path_information(model: DiffusionModel, values, theta: float, m: int, h: float,
+                     total: np.ndarray) -> np.ndarray:
+    """Add the trapezoid approximation of 2 * int ((da/dtheta)/a)^2(X_s, theta) ds to ``total``.
 
-    ``values`` holds one path per row on a uniform grid of [0,1]; one
-    value per row comes back.  Rows are integrated in cache-sized blocks,
-    each with numpy's own summation per row.
+    ``values`` holds one path per row over whole cells of m fine steps of
+    size h.  Each cell's trapezoid integral is added to its row's
+    ``total`` (updated in place and returned) in cell order, so the result
+    depends neither on how the grid is cut into slices of whole cells nor
+    on the row blocks.  The integrand holds about four temporaries of its
+    input's size, so its row blocks are a quarter of the usual size.
     """
-    dx = 1.0 / (values.shape[1] - 1)
-    out = np.empty(values.shape[0])
-    for rows in row_blocks(values):
+    cells = (values.shape[1] - 1) // m
+    w = np.full(m + 1, 2.0 * h)
+    w[0] = w[m] = h
+    for rows in row_blocks(values, _BLOCK_DOUBLES // 4):
         y = info_integrand(model, values[rows], theta)
-        out[rows] = 2.0 * np.trapezoid(y, dx=dx, axis=1)
-    return out
+        acc = np.zeros((y.shape[0], cells + 1))
+        acc[:, 0] = total[rows]
+        for p in range(m + 1):
+            acc[:, 1:] += w[p] * y[:, p : p + (cells - 1) * m + 1 : m]
+        del y
+        # Sequential over cells: the running total continues across slices.
+        np.cumsum(acc, axis=1, out=acc)
+        total[rows] = acc[:, -1]
+    return total
 
 
-def row_blocks(values: np.ndarray):
-    """Slices of about ``_BLOCK_DOUBLES`` elements over the rows of a 2-D array."""
-    step = max(1, _BLOCK_DOUBLES // values.shape[1])
+def row_blocks(values: np.ndarray, doubles: int | None = None):
+    """Slices of about ``doubles`` (default ``_BLOCK_DOUBLES``) elements over a 2-D array's rows."""
+    step = max(1, (_BLOCK_DOUBLES if doubles is None else doubles) // values.shape[1])
     return [slice(s, s + step) for s in range(0, values.shape[0], step)]
 
 

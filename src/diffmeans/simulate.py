@@ -1,10 +1,15 @@
 """Euler path simulation, local-mean observations, and block edges.
 
 Paths live on a fine grid with m substeps per sampling cell (step
-1/(n*m)), one path per row of an R x (n*m + 1) array.  The normals are
-drawn into the path array and the Euler step runs in place; a caller
+1/(n*m)), one path per row of a rows x (cells*m + 1) array.  The normals
+are drawn into the path array and the Euler step runs in place; a caller
 that builds the Gaussian frozen-coefficient coupling from the same noise
 asks for a copy of the Brownian increments.
+
+A call may simulate a time slice of whole cells: it takes the rows'
+generators and one start value per row, so consecutive slices draw
+consecutive stretches of the same streams and step the same recursion
+as one call over the whole grid, bit for bit.
 
 Randomness contract: every replication draws from its own counter-based
 stream keyed by (master seed, stream tag, replication index), so results
@@ -20,6 +25,7 @@ from .models import DiffusionModel, row_blocks
 
 __all__ = [
     "rep_rng",
+    "rep_rngs",
     "euler_values",
     "simulate_values",
     "observe_values",
@@ -38,15 +44,20 @@ def rep_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def euler_values(model: DiffusionModel, theta: float, xi0: float, h: float, dW: np.ndarray,
+def rep_rngs(seed: int, stream: tuple[int, ...], r0: int, r1: int) -> list[np.random.Generator]:
+    """The generators of replications r0..r1-1 of a stream, one per path row."""
+    return [rep_rng(seed, *stream, r) for r in range(r0, r1)]
+
+
+def euler_values(model: DiffusionModel, theta: float, xi0, h: float, dW: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Euler recursion X_{t+h} = X_t + a(X_t, theta) dW + b(X_t) h, step h.
 
-    ``dW`` holds one path's increments per row.  Exposed separately from
-    the simulators so tests can drive it with hand-built increments (e.g.
-    all zeros).  ``out`` (rows x (steps + 1)) receives the paths; ``dW``
-    may be its columns 1:, since step i reads dW[:, i] before it writes
-    column i + 1.
+    ``dW`` holds one path's increments per row, and ``xi0`` is the start:
+    one value, or one per row.  Exposed separately from the simulators so
+    tests can drive it with hand-built increments (e.g. all zeros).
+    ``out`` (rows x (steps + 1)) receives the paths; ``dW`` may be its
+    columns 1:, since step i reads dW[:, i] before it writes column i + 1.
 
     For a scaled Brownian model (a free of x, b = 0) the path is one
     cumulative sum of (xi0, a dW): the same sequential additions as the
@@ -54,13 +65,12 @@ def euler_values(model: DiffusionModel, theta: float, xi0: float, h: float, dW: 
     """
     reps, steps = dW.shape
     values = np.empty((reps, steps + 1)) if out is None else out
+    values[:, 0] = xi0
     if model.scaled_brownian:
-        values[:, 0] = xi0
-        np.multiply(model.a(xi0, theta), dW, out=values[:, 1:])
+        np.multiply(model.a(values[:, :1], theta), dW, out=values[:, 1:])
         np.cumsum(values, axis=1, out=values)
         return values
-    x = np.full(reps, float(xi0))
-    values[:, 0] = x
+    x = values[:, 0].copy()
     for i in range(steps):
         x = x + model.a(x, theta) * dW[:, i] + model.b(x) * h
         values[:, i + 1] = x
@@ -70,24 +80,22 @@ def euler_values(model: DiffusionModel, theta: float, xi0: float, h: float, dW: 
 def simulate_values(
     model: DiffusionModel,
     theta: float,
-    xi0: float,
+    xi0,
     n: int,
     m: int,
-    seed: int,
-    reps: int,
+    rngs: list[np.random.Generator],
     *,
-    stream: tuple[int, ...] = (),
-    rep_offset: int = 0,
     cells: int | None = None,
     increments: bool = False,
 ):
     """Simulate Euler paths; returns (values, dW), dW None unless ``increments``.
 
-    One path per row, replication r drawing from stream (seed, *stream,
-    rep_offset + r).  ``cells`` truncates simulation to the first cells of
-    the n-cell grid (same step 1/(n*m)); default all n.  The normals are
-    drawn into values[:, 1:] and stepped in place, so dW, when asked for,
-    is a copy taken before the Euler step.
+    One path per row, row r drawing from ``rngs[r]`` and starting at xi0
+    (one value, or one per row).  ``cells`` simulates only that many cells
+    of the n-cell grid (same step 1/(n*m)); default all n.  A later call
+    with the same generators, started at the last column, continues the
+    paths.  The normals are drawn into values[:, 1:] and stepped in place,
+    so dW, when asked for, is a copy taken before the Euler step.
     """
     model.check_theta(theta)
     if n < 1 or m < 2:
@@ -95,29 +103,31 @@ def simulate_values(
     n_cells = n if cells is None else cells
     if not 1 <= n_cells <= n:
         raise ValueError("cells must lie in [1, n]")
-    steps = n_cells * m
     h = 1.0 / (n * m)
-    values = np.empty((reps, steps + 1))
-    for r in range(reps):
-        rep_rng(seed, *stream, rep_offset + r).standard_normal(out=values[r, 1:])
+    values = np.empty((len(rngs), n_cells * m + 1))
+    for rng, row in zip(rngs, values):
+        rng.standard_normal(out=row[1:])
     values[:, 1:] *= np.sqrt(h)
     dW = values[:, 1:].copy() if increments else None
     euler_values(model, theta, xi0, h, values[:, 1:], out=values)
     return values, dW
 
 
-def observe_values(values: np.ndarray, measure: WeightMeasure, n: int, m: int) -> np.ndarray:
-    """Local means of each cell for a batch of paths (rows).
+def observe_values(values: np.ndarray, measure: WeightMeasure, n: int, m: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Local means of each of the n cells for a batch of paths (rows).
 
     The m + 1 weighted strided passes run over cache-sized row blocks;
-    each element sees the same arithmetic in the same order.
+    each element sees the same arithmetic in the same order.  They add
+    into ``out`` (rows x n, zeros by default), so a caller that walks the
+    grid in slices passes the slice's columns of its zeroed means array.
     """
     w = mean_weights(measure, m)
-    obs = np.zeros((values.shape[0], n))
+    obs = np.zeros((values.shape[0], n)) if out is None else out
     for rows in row_blocks(values):
-        block, out = values[rows], obs[rows]
+        block, acc = values[rows], obs[rows]
         for p in range(m + 1):
-            out += w[p] * block[:, p : p + (n - 1) * m + 1 : m]
+            acc += w[p] * block[:, p : p + (n - 1) * m + 1 : m]
     return obs
 
 

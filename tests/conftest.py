@@ -9,12 +9,12 @@ import pytest  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from diffmeans.measures import WeightMeasure  # noqa: E402
-from diffmeans.simulate import simulate_values  # noqa: E402
+from diffmeans.simulate import rep_rngs, simulate_values  # noqa: E402
 
 
 def one_path(model, theta, xi0, n, m, seed):
     """One simulated path as a one-row batch (replication 0 of the seed's stream)."""
-    return simulate_values(model, theta, xi0, n, m, seed, reps=1)[0]
+    return simulate_values(model, theta, xi0, n, m, rep_rngs(seed, (), 0, 1))[0]
 
 
 @st.composite

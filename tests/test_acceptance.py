@@ -20,7 +20,7 @@ from diffmeans.experiments import (
 from diffmeans.measures import WeightMeasure, v_coefficients
 from diffmeans.models import get_model
 from diffmeans.quasi_score import TriKMatrix, augmented_block_cov, quadratic_forms
-from diffmeans.simulate import observe_values, simulate_values
+from diffmeans.simulate import observe_values, rep_rngs, simulate_values
 
 from conftest import random_measure
 from reference import dense, solve_tridiagonal, v_coefficients_quadrature
@@ -89,7 +89,7 @@ def test_criterion_03_quasi_form_gaussianity():
     K = augmented_block_cov(k, coeffs)
     forms = []
     for r0 in range(0, paths, 250):
-        values, _ = simulate_values(model, 1.0, 0.0, n, m, seed=303, reps=250, rep_offset=r0)
+        values, _ = simulate_values(model, 1.0, 0.0, n, m, rep_rngs(303, (), r0, r0 + 250))
         obs = observe_values(values, measure, n, m)
         R = values.shape[0]
         L = n // k

@@ -14,7 +14,7 @@ from diffmeans.cli import _parse_measure, _read_observation_csv, main
 from diffmeans.estimate import estimate_augmented, estimate_means_only
 from diffmeans.measures import WeightMeasure, measure_from_spec, v_coefficients
 from diffmeans.models import REGISTRY, get_model
-from diffmeans.simulate import block_edges, observe_values, simulate_values
+from diffmeans.simulate import block_edges, observe_values, rep_rngs, simulate_values
 
 
 # sine_scale through a mixture measure at n = 37, k = 36: the augmented CSV
@@ -126,7 +126,8 @@ class TestSimulateCommand:
         assert code == 0
         rows = out.read_text().strip().splitlines()[1:]
         got = np.array([float(r.split(",")[1]) for r in rows])
-        values, _ = simulate_values(get_model("multiplicative_bm"), 1.0, 0.0, 4, 8, 5, reps=1)
+        values, _ = simulate_values(get_model("multiplicative_bm"), 1.0, 0.0, 4, 8,
+                                    rep_rngs(5, (), 0, 1))
         expect = observe_values(values, WeightMeasure.dirac(0.5), 4, 8)[0]
         np.testing.assert_allclose(got, expect, rtol=1e-15)
 
@@ -338,7 +339,7 @@ class TestRoundTrip:
         common = ["--model", model, "--measure", measure, "--m", str(m), f"--xi0={xi0!r}"]
         mdl = get_model(model)
         coeffs = v_coefficients(measure_from_spec(_parse_measure(measure)))
-        values, _ = simulate_values(mdl, theta, xi0, n, m, seed, reps=1)
+        values, _ = simulate_values(mdl, theta, xi0, n, m, rep_rngs(seed, (), 0, 1))
         obs = observe_values(values, measure_from_spec(_parse_measure(measure)), n, m)[0]
         with tempfile.TemporaryDirectory() as tmp:
             csv, est = os.path.join(tmp, "obs.csv"), os.path.join(tmp, "est.json")

@@ -13,7 +13,7 @@ from diffmeans.quasi_score import (
     interior_block_cov,
     quadratic_forms,
 )
-from diffmeans.simulate import block_edges, observe_values, simulate_values
+from diffmeans.simulate import block_edges, observe_values, rep_rngs, simulate_values
 
 from conftest import one_path
 from reference import QuasiObjective, solve
@@ -85,7 +85,7 @@ class TestAugmentedEstimator:
 
     def test_consistency_small_bias(self):
         n, m, k, reps = 1024, 8, 10, 60
-        values, _ = simulate_values(MULT, 1.5, 0.0, n, m, seed=6, reps=reps)
+        values, _ = simulate_values(MULT, 1.5, 0.0, n, m, rngs=rep_rngs(6, (), 0, reps))
         obs = observe_values(values, LEB, n, m)
         edge_values = values[:, block_edges(n, k) * m]
         hats = [estimate_augmented(obs[r], edge_values[r], MULT, V_LEB, k).theta_hat
@@ -94,7 +94,7 @@ class TestAugmentedEstimator:
 
     def test_agreement_with_exact_mle(self):
         n, m, k, reps = 1024, 8, 10, 150
-        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, seed=8, reps=reps)
+        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, rngs=rep_rngs(8, (), 0, reps))
         obs = observe_values(values, LEB, n, m)
         edge_values = values[:, block_edges(n, k) * m]
         gm = build_base_cov(n, LEB)
@@ -139,7 +139,7 @@ class TestMeansOnlyEstimator:
     def test_consistency_under_both_measures(self, measure):
         n, m, k, reps = 512, 16, 8, 40
         coeffs = v_coefficients(measure)
-        values, _ = simulate_values(MULT, 2.0, 0.0, n, m, seed=13, reps=reps)
+        values, _ = simulate_values(MULT, 2.0, 0.0, n, m, rngs=rep_rngs(13, (), 0, reps))
         obs = observe_values(values, measure, n, m)
         hats = [
             estimate_means_only(obs[r], 0.0, MULT, coeffs, k=k).theta_hat for r in range(reps)

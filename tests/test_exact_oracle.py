@@ -10,7 +10,7 @@ import diffmeans.exact_oracle as exact_oracle
 from diffmeans.exact_oracle import build_base_cov, exact_llr, exact_mle, log_density
 from diffmeans.measures import WeightMeasure
 from diffmeans.models import get_model
-from diffmeans.simulate import observe_values, simulate_values
+from diffmeans.simulate import observe_values, rep_rngs, simulate_values
 
 from conftest import weight_measures
 from reference import dense_cov
@@ -173,7 +173,7 @@ class TestExactLLR:
     def test_local_alternative_mean(self):
         # E[log Z(theta0, theta0 + h/sqrt(n))] ~ -h^2/theta0^2 at h=1, theta0=1.
         n, m, reps, h = 1024, 8, 400, 1.0
-        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, seed=51, reps=reps)
+        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, rngs=rep_rngs(51, (), 0, reps))
         obs = observe_values(values, LEB, n, m)
         gm = build_base_cov(n, LEB)
         theta1 = 1.0 + h / np.sqrt(n)
@@ -207,7 +207,7 @@ class TestExactMLE:
 
     def test_dispersion_near_information_bound(self):
         n, m, reps = 1024, 8, 400
-        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, seed=52, reps=reps)
+        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, rngs=rep_rngs(52, (), 0, reps))
         obs = observe_values(values, LEB, n, m)
         gm = build_base_cov(n, LEB)
         theta_hat = np.sqrt(gm.quad_forms(obs) / n)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffmeans import models
+from diffmeans import experiments, models
 from diffmeans.experiments import (
     _CHUNK_BUDGET,
     ExperimentConfig,
@@ -18,6 +18,7 @@ from diffmeans.experiments import (
     _expansion_chunk,
     _information_chunk,
     _path_chunk_args,
+    _slice_cells,
     _tails_chunk,
     default_verify_configs,
     merge_reports,
@@ -31,7 +32,8 @@ from diffmeans.experiments import (
     run_experiment,
     run_information,
 )
-from diffmeans.simulate import block_edges
+from diffmeans.models import get_model
+from diffmeans.simulate import block_edges, rep_rngs
 
 PINNED_SMALL_CSV_SHA256 = "21ac73db792cbee98ec0f59f0a13f7c55275d743d297840b228305949d6123d8"
 PINNED_ORACLE_CSV_SHA256 = "f047e4cc8738f68797d07cf343e1eb87128fe02eb4e53fbeb9db57051c994552"
@@ -213,25 +215,64 @@ class TestChunkPartition:
 
     def test_default_suite_partition(self):
         # Two chunks per grid for the full-grid runs, unless the memory
-        # budget caps them (n = 1024 and 4096 at 2000 replications, n = 4096
-        # at 500); eight per grid for coupling, whose BLAS products round
-        # differently with the row count.
+        # budget caps a scaled Brownian chunk's whole paths (expansion at
+        # every n, the estimators at 500 replications); eight per grid for
+        # coupling, whose BLAS products round differently with the row
+        # count.  A state-dependent chunk walks its grid in time slices, so
+        # every path array stays within the budget.
         counts = {}
         for cfg in default_verify_configs():
-            if cfg.experiment in ("chi2", "tails"):
+            if cfg.experiment == "chi2":
                 continue
+            whole = get_model(cfg.model).scaled_brownian
             for i, n in enumerate(cfg.n_list):
-                args = _path_chunk_args(cfg, n, resolve_k(cfg.k_rule, n), i)
-                starts, stops = [a[9] for a in args], [a[10] for a in args]
-                assert starts == [0] + stops[:-1] and stops[-1] == cfg.replications
-                assert max(r1 - r0 for r0, r1 in zip(starts, stops)) * (n * cfg.m + 1) <= _CHUNK_BUDGET
-                counts.setdefault(cfg.run_id, []).append(len(args))
+                k = resolve_k(cfg.k_rule, n)
+                if cfg.experiment == "tails":
+                    ranges = _chunk_ranges(cfg.replications, cfg.m + 1)
+                else:
+                    ranges = [a[9:11] for a in _path_chunk_args(cfg, n, k, i)]
+                starts, stops = zip(*ranges)
+                assert starts == (0, *stops[:-1]) and stops[-1] == cfg.replications
+                for r0, r1 in ranges:
+                    cells = {"coupling": k, "tails": 1}.get(cfg.experiment)
+                    if cells is None:
+                        cells = _slice_cells(r1 - r0, n, cfg.m)
+                        assert cells == n or not whole
+                    assert (r1 - r0) * (cells * cfg.m + 1) <= _CHUNK_BUDGET
+                counts.setdefault(cfg.run_id, []).append(len(ranges))
         assert counts == {
-            "expansion": [2, 4, 16],
-            "information_k1": [2], "information_k10": [2], "information_log2": [4],
+            "expansion": [4, 16, 65],
+            "information_k1": [2], "information_k10": [2], "information_log2": [2],
             "coupling": [8] * 7,
-            "estimator_augmented": [2], "estimator_means_only": [2], "estimator_mixed_normal": [2],
+            "tails": [8], "tails_control": [8],
+            "estimator_augmented": [4], "estimator_means_only": [8], "estimator_mixed_normal": [2],
         }
+
+    @pytest.mark.parametrize("model", ["multiplicative_bm", "sine_scale", "cauchy_scale"])
+    @pytest.mark.parametrize("measure", [{"kind": "lebesgue"},
+                                         {"kind": "atomic", "atoms": [[0.5, 1.0]]}],
+                             ids=["lebesgue", "dirac"])
+    def test_slices_match_one_slice(self, monkeypatch, model, measure):
+        # Budgets of 1, 2 and 7 cells per slice for 5 rows of 24 cells at
+        # m = 4: 24, 12 and 4 slices.  k = 7 puts block edges on the
+        # 7-cell slices' boundaries and leaves a partial last block.
+        n, m, k, R = 24, 4, 7, 5
+        head = (model, measure, 1.3, 0.4, n, m, k, 11)
+        calls = [
+            (_expansion_chunk, (*head, (1, 0), 2, 2 + R, 1.0)),
+            (_information_chunk, (*head, (2, 0), 2, 2 + R)),
+            (_estimator_chunk, (*head, (6, 0), 2, 2 + R, ("augmented", "means_only", "exact_mle"))),
+        ]
+        whole = [fn(args) for fn, args in calls]
+        for budget, cells in [(R * (m + 1), 1), (R * (2 * m + 1), 2), (R * (7 * m + 1), 7)]:
+            monkeypatch.setattr(experiments, "_CHUNK_BUDGET", budget)
+            assert _slice_cells(R, n, m) == cells
+            for (fn, args), expect in zip(calls, whole):
+                got = fn(args)
+                assert set(got) == set(expect)
+                for key, value in expect.items():
+                    np.testing.assert_array_equal(got[key], value,
+                                                  err_msg=f"{fn.__name__} {key} {cells} cells")
 
 
 class TestChunkOutputs:
@@ -273,22 +314,24 @@ class TestChunkOutputs:
 
 
 class TestChunkMemory:
-    """A full-grid chunk frees its path once it has taken what it reads of it.
+    """A full-grid chunk holds one time slice of its path at a time.
 
-    The traced peak may then be the path, its means and its block-edge
-    values, all computed from the shapes, plus one row block of doubles:
-    the row-blocked sweeps (observe_values, path_information,
-    quadratic_forms) each hold about one block of temporaries.  Kept
-    alive, the path would also carry the summaries' and the oracle's
-    R x n temporaries, several times that margin here.
+    Under a budget of a third of the grid, each chunk walks four slices.
+    Its traced peak may then be the largest slice (recorded from the
+    simulate_values calls), its means, its block-edge values and the
+    rows' generators, plus one row block of doubles: the row-blocked
+    sweeps (observe_values, path_information, quadratic_forms) each hold
+    about one block of temporaries.  A chunk that held its whole path
+    would exceed this by about two thirds of the path.
     """
 
-    N, M_SUB, K, ROWS = 1024, 2, 10, 200
+    N, M_SUB, K, ROWS = 1024, 8, 10, 200
+    BUDGET = 500_000
     MARGIN = 8 * models._BLOCK_DOUBLES
 
-    @pytest.mark.parametrize("model", ["multiplicative_bm", "sine_scale"])
+    @pytest.mark.parametrize("model", ["multiplicative_bm", "sine_scale", "cauchy_scale"])
     @pytest.mark.parametrize("worker", ["expansion", "information", "estimator"])
-    def test_peak_is_path_plus_means(self, model, worker):
+    def test_peak_is_path_plus_means(self, monkeypatch, model, worker):
         n, m, k, R = self.N, self.M_SUB, self.K, self.ROWS
         head = (model, {"kind": "atomic", "atoms": [[0.5, 1.0]]}, 1.0, 0.0, n, m, k, 7)
         fn, args = {
@@ -297,17 +340,34 @@ class TestChunkMemory:
             "estimator": (_estimator_chunk,
                           (*head, (6, 0), 0, R, ("augmented", "means_only", "exact_mle"))),
         }[worker]
+        monkeypatch.setattr(experiments, "_CHUNK_BUDGET", self.BUDGET)
+        shapes = []
+        simulate = experiments.simulate_values
+
+        def recorded(*a, **kw):
+            values, dW = simulate(*a, **kw)
+            shapes.append(values.shape)
+            return values, dW
+
+        monkeypatch.setattr(experiments, "simulate_values", recorded)
         fn(args)  # caches and lazy imports stay out of the trace
         tracemalloc.start()
         try:
+            rngs = rep_rngs(7, (0,), 0, R)
+            rng_bytes = tracemalloc.get_traced_memory()[0]
+            del rngs
+            tracemalloc.reset_peak()
+            shapes.clear()
             fn(args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        path_bytes = 8 * R * (n * m + 1)
+        assert len(shapes) == 4
+        slice_bytes = 8 * max(rows * width for rows, width in shapes)
+        assert slice_bytes <= 8 * self.BUDGET
         means_bytes = 8 * R * n
         edge_bytes = 0 if worker == "expansion" else 8 * R * block_edges(n, k).size
-        assert peak <= path_bytes + means_bytes + edge_bytes + self.MARGIN
+        assert peak <= slice_bytes + means_bytes + edge_bytes + rng_bytes + self.MARGIN
 
 
 class TestExpansion:

@@ -11,7 +11,7 @@ from diffmeans.models import (
     path_information,
     validate_registry,
 )
-from diffmeans.simulate import simulate_values
+from diffmeans.simulate import rep_rngs, simulate_values
 
 from conftest import one_path
 
@@ -60,53 +60,79 @@ class TestInfoIntegrand:
         assert info_integrand(CAUCHY, 0.0, 1.0) == pytest.approx(0.25)
 
 
+def whole_information(model, values, theta, m):
+    """Path information of rows that span [0, 1]."""
+    return path_information(model, values, theta, m, 1.0 / (values.shape[1] - 1),
+                            np.zeros(values.shape[0]))
+
+
 class TestPathInformation:
     def test_multiplicative_constant(self):
         values = one_path(MULT, 1.0, 0.0, n=16, m=8, seed=1)
-        assert path_information(MULT, values, 1.0)[0] == pytest.approx(2.0, abs=1e-12)
+        assert whole_information(MULT, values, 1.0, 8)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_sine_scale_deterministic(self):
         values = one_path(SINE, 2.0, 0.0, n=16, m=8, seed=1)
-        assert path_information(SINE, values, 2.0)[0] == pytest.approx(0.5, abs=1e-12)
+        assert whole_information(SINE, values, 2.0, 8)[0] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("model", [MULT, SINE])
     def test_scale_family_is_two_over_theta_squared(self, model):
         # The experiments take 2/theta^2 for scale families instead of this
         # integral: exact at theta = 1, last bits elsewhere.
-        values, _ = simulate_values(model, 1.0, 0.3, 16, 8, seed=5, reps=3)
-        assert np.all(path_information(model, values, 1.0) == 2.0)
+        values, _ = simulate_values(model, 1.0, 0.3, 16, 8, rngs=rep_rngs(5, (), 0, 3))
+        assert np.all(whole_information(model, values, 1.0, 8) == 2.0)
         for theta in (1.3, 2.5):
-            np.testing.assert_allclose(path_information(model, values, theta), 2.0 / theta**2,
+            np.testing.assert_allclose(whole_information(model, values, theta, 8), 2.0 / theta**2,
                                        rtol=1e-15, atol=0.0)
 
     def test_cauchy_zero_path(self):
-        assert path_information(CAUCHY, np.zeros((1, 129)), 1.0)[0] == pytest.approx(0.5, abs=1e-12)
+        assert whole_information(CAUCHY, np.zeros((1, 129)), 1.0, 8)[0] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("block", ["rows_below", "rows_at", "rows_above", "default"])
     @pytest.mark.parametrize("model", [MULT, SINE, CAUCHY], ids=lambda mdl: mdl.name)
     @pytest.mark.parametrize("reps", [None, 1, 7])
     def test_row_blocks_match_whole_array(self, monkeypatch, block, model, reps):
         # reps None: the rows of a 7-row batch, each passed as a one-row batch.
+        # The integrand's row blocks hold a quarter of _BLOCK_DOUBLES.
         row = (1 << 17) + 1 if block == "default" else 97
-        if block != "default":
-            # Rows shorter than, equal to and longer than one block.
-            size = {"rows_below": 3 * row + 1, "rows_at": row, "rows_above": row - 1}[block]
-            monkeypatch.setattr(models, "_BLOCK_DOUBLES", size)
         rows = 7 if reps is None else reps
         values = np.cumsum(np.random.default_rng(row + rows).standard_normal((rows, row)), axis=1)
         values *= 1.0 / np.sqrt(row)
+        monkeypatch.setattr(models, "_BLOCK_DOUBLES", 4 * rows * row)
+        whole = whole_information(model, values, 1.7, 8)
+        monkeypatch.undo()
+        if block != "default":
+            # Rows shorter than, equal to and longer than one block.
+            size = {"rows_below": 3 * row + 1, "rows_at": row, "rows_above": row - 1}[block]
+            monkeypatch.setattr(models, "_BLOCK_DOUBLES", 4 * size)
         if reps is None:
-            got = np.concatenate([path_information(model, values[r : r + 1], 1.7)
+            got = np.concatenate([whole_information(model, values[r : r + 1], 1.7, 8)
                                   for r in range(rows)])
         else:
-            got = path_information(model, values, 1.7)
+            got = whole_information(model, values, 1.7, 8)
+        assert np.array_equal(got, whole)
+        # The cells are summed in order: up to about (cells) x eps apart from
+        # numpy's pairwise trapezoid, 16,384 cells in the default case.
         y = info_integrand(model, values, 1.7)
-        assert np.array_equal(got, 2.0 * np.trapezoid(y, dx=1.0 / (row - 1), axis=1))
+        np.testing.assert_allclose(got, 2.0 * np.trapezoid(y, dx=1.0 / (row - 1), axis=1),
+                                   rtol=4e-12, atol=0.0)
+
+    @pytest.mark.parametrize("model", [MULT, SINE, CAUCHY], ids=lambda mdl: mdl.name)
+    def test_slices_continue_the_total(self, model):
+        # Slices of whole cells, each adding to the running total, give the
+        # bits of one call over the whole path.
+        n, m = 24, 4
+        values, _ = simulate_values(model, 1.0, 0.3, n, m, rngs=rep_rngs(9, (), 0, 5))
+        whole = whole_information(model, values, 1.3, m)
+        total = np.zeros(5)
+        for c0, c1 in [(0, 7), (7, 8), (8, 20), (20, 24)]:
+            path_information(model, values[:, c0 * m : c1 * m + 1], 1.3, m, 1.0 / (n * m), total)
+        assert np.array_equal(total, whole)
 
     def test_grid_refinement_stable(self):
         values = one_path(SINE, 1.0, 0.3, n=64, m=512, seed=5)
-        fine = path_information(SINE, values, 1.0)[0]
-        coarse = path_information(SINE, values[:, ::2], 1.0)[0]
+        fine = whole_information(SINE, values, 1.0, 512)[0]
+        coarse = whole_information(SINE, values[:, ::2], 1.0, 256)[0]
         assert abs(fine - coarse) < 1e-3
 
 
@@ -126,7 +152,7 @@ def test_theta_interval_enforced():
     with pytest.raises(ValueError):
         MULT.check_theta(4.0)
     with pytest.raises(ValueError):
-        simulate_values(MULT, 0.2, 0.0, n=4, m=4, seed=0, reps=1)
+        simulate_values(MULT, 0.2, 0.0, n=4, m=4, rngs=rep_rngs(0, (), 0, 1))
 
 
 @pytest.mark.parametrize("model", list(REGISTRY.values()), ids=lambda mdl: mdl.name)

@@ -18,7 +18,7 @@ from diffmeans.quasi_score import (
     quadratic_forms,
     score_terms,
 )
-from diffmeans.simulate import block_edges, observe_values, simulate_values
+from diffmeans.simulate import block_edges, observe_values, rep_rngs, simulate_values
 
 from conftest import one_path, weight_measures
 from reference import dense, solve_tridiagonal
@@ -154,7 +154,7 @@ class TestXi:
     def test_mean_zero_at_true_parameter(self):
         # Exact recentered chi-square for the scaled Brownian model.
         n, m, k, reps = 50, 16, 5, 400
-        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, seed=77, reps=reps)
+        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, rngs=rep_rngs(77, (), 0, reps))
         obs = observe_values(values, LEB, n, m)
         anchors, sizes, q = aug_summaries(obs, values[:, block_edges(n, k) * m], k, V_LEB)
         terms = score_terms(1.0, 1.0, MULT, anchors, sizes, q)
@@ -234,7 +234,7 @@ class TestScoreAndInfo:
     def test_information_mean_multiplicative(self):
         # E[I] = 2 * sum(k_l + 1) / n at theta0 = 1 for the Gaussian model.
         n, m, k, reps = 1024, 16, 10, 100
-        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, seed=3, reps=reps)
+        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, rngs=rep_rngs(3, (), 0, reps))
         obs = observe_values(values, LEB, n, m)
         anchors, _, q = aug_summaries(obs, values[:, block_edges(n, k) * m], k, V_LEB)
         I = np.sum(info_terms(1.0, 1.0, MULT, anchors, q), axis=1) / n
@@ -262,7 +262,7 @@ class TestXiObs:
 
     def test_mean_zero_at_true_parameter(self):
         n, m, k, reps = 64, 16, 8, 300
-        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, seed=17, reps=reps)
+        values, _ = simulate_values(MULT, 1.0, 0.0, n, m, rngs=rep_rngs(17, (), 0, reps))
         obs = observe_values(values, LEB, n, m)
         anchors, sizes, q = obs_summaries(obs, 0.0, k, V_LEB)
         vals = np.sum(score_terms(1.0, 1.0, MULT, anchors, sizes, q), axis=1) / np.sqrt(n)

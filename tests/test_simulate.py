@@ -15,6 +15,7 @@ from diffmeans.simulate import (
     coupled_increments_values,
     euler_values,
     observe_values,
+    rep_rngs,
     simulate_values,
 )
 
@@ -30,7 +31,8 @@ GENERIC_MULT = dataclasses.replace(MULT, scaled_brownian=False)
 
 class TestEuler:
     def test_multiplicative_is_exact_brownian_sum(self):
-        values, dW = simulate_values(MULT, 1.5, 0.0, n=32, m=16, seed=11, reps=1, increments=True)
+        values, dW = simulate_values(MULT, 1.5, 0.0, n=32, m=16, rngs=rep_rngs(11, (), 0, 1),
+                                     increments=True)
         expect = np.concatenate([[0.0], np.cumsum(1.5 * dW[0])])
         np.testing.assert_array_equal(values[0], expect)
 
@@ -57,10 +59,11 @@ class TestEuler:
         assert not np.array_equal(a, c)
 
     def test_batched_rows_match_single_paths(self):
-        values, dW = simulate_values(SINE, 1.2, 0.5, n=4, m=8, seed=5, reps=3, increments=True)
+        values, dW = simulate_values(SINE, 1.2, 0.5, n=4, m=8, rngs=rep_rngs(5, (), 0, 3),
+                                     increments=True)
         for r in range(3):
-            single_v, single_w = simulate_values(SINE, 1.2, 0.5, n=4, m=8, seed=5,
-                                                 reps=1, rep_offset=r, increments=True)
+            single_v, single_w = simulate_values(SINE, 1.2, 0.5, n=4, m=8,
+                                                 rngs=rep_rngs(5, (), r, r + 1), increments=True)
             np.testing.assert_array_equal(values[r], single_v[0])
             np.testing.assert_array_equal(dW[r], single_w[0])
 
@@ -71,12 +74,28 @@ class TestEuler:
         # increments, which are the ones drawn before the step.  reps None
         # is a single path: the one-row batch.
         rows = 1 if reps is None else reps
-        values, dW = simulate_values(model, 1.2, 0.5, n=4, m=8, seed=5, reps=rows)
+        values, dW = simulate_values(model, 1.2, 0.5, n=4, m=8, rngs=rep_rngs(5, (), 0, rows))
         assert dW is None
-        again, increments = simulate_values(model, 1.2, 0.5, n=4, m=8, seed=5, reps=rows,
+        again, increments = simulate_values(model, 1.2, 0.5, n=4, m=8, rngs=rep_rngs(5, (), 0, rows),
                                             increments=True)
         np.testing.assert_array_equal(again, values)
         np.testing.assert_array_equal(euler_values(model, 1.2, 0.5, 1.0 / 32, increments), values)
+
+    @pytest.mark.parametrize("model", [MULT, SINE], ids=["cumsum", "loop"])
+    def test_slices_continue_the_paths(self, model):
+        # Slices of whole cells, each started at the last one's end with the
+        # same generators, give the bits of one call over the whole grid.
+        n, m = 12, 4
+        whole, _ = simulate_values(model, 1.2, 0.5, n, m, rep_rngs(5, (3,), 2, 6))
+        rngs = rep_rngs(5, (3,), 2, 6)
+        start, parts = 0.5, [whole[:, :1]]
+        for cells in (5, 1, 6):
+            values, _ = simulate_values(model, 1.2, start, n, m, rngs, cells=cells)
+            assert values.shape == (4, cells * m + 1)
+            np.testing.assert_array_equal(values[:, 0], start)
+            parts.append(values[:, 1:])
+            start = values[:, -1].copy()
+        np.testing.assert_array_equal(np.hstack(parts), whole)
 
     def test_strong_error_halves_per_substep_doubling(self):
         # Coarse path driven by pair-sums of the fine increments: the gap at
@@ -98,11 +117,11 @@ class TestEuler:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            simulate_values(MULT, 1.0, 0.0, n=0, m=8, seed=0, reps=1)
+            simulate_values(MULT, 1.0, 0.0, n=0, m=8, rngs=rep_rngs(0, (), 0, 1))
         with pytest.raises(ValueError):
-            simulate_values(MULT, 1.0, 0.0, n=8, m=1, seed=0, reps=1)
+            simulate_values(MULT, 1.0, 0.0, n=8, m=1, rngs=rep_rngs(0, (), 0, 1))
         with pytest.raises(ValueError):
-            simulate_values(MULT, 1.0, 0.0, n=8, m=8, seed=0, reps=1, cells=9)
+            simulate_values(MULT, 1.0, 0.0, n=8, m=8, rngs=rep_rngs(0, (), 0, 1), cells=9)
 
 
 class TestObserve:
@@ -118,7 +137,7 @@ class TestObserve:
         np.testing.assert_allclose(obs, 1.37, atol=1e-13)
 
     def test_batch_matches_loop(self):
-        values, _ = simulate_values(SINE, 1.0, 0.0, n=8, m=16, seed=4, reps=5)
+        values, _ = simulate_values(SINE, 1.0, 0.0, n=8, m=16, rngs=rep_rngs(4, (), 0, 5))
         batch = observe_values(values, LEB, 8, 16)
         for r in range(5):
             np.testing.assert_allclose(batch[r], observe_values(values[r : r + 1], LEB, 8, 16)[0],
@@ -151,7 +170,7 @@ class TestObserve:
 
     def test_covariance_matches_exact_oracle(self):
         n, m, reps, theta = 8, 32, 10_000, 1.3
-        values, _ = simulate_values(MULT, theta, 0.0, n, m, seed=42, reps=reps)
+        values, _ = simulate_values(MULT, theta, 0.0, n, m, rngs=rep_rngs(42, (), 0, reps))
         obs = observe_values(values, LEB, n, m)
         sample = np.cov(obs, rowvar=False)
         target = theta**2 * dense_cov(build_base_cov(n, LEB))
@@ -212,7 +231,8 @@ class TestAugment:
 
 class TestGaussianCoupling:
     def test_exact_for_multiplicative(self):
-        values, dW = simulate_values(MULT, 1.4, 0.0, n=32, m=16, seed=9, reps=1, increments=True)
+        values, dW = simulate_values(MULT, 1.4, 0.0, n=32, m=16, rngs=rep_rngs(9, (), 0, 1),
+                                     increments=True)
         edges = block_edges(32, 5)
         for l, inc in enumerate(augmented_blocks(values, 32, 16, LEB, 5)):
             start, stop = int(edges[l]), int(edges[l + 1])
@@ -224,7 +244,7 @@ class TestGaussianCoupling:
         # Vectors coupled at a fixed anchor are Gaussian with covariance
         # a^2(anchor) K; checked entrywise by Monte Carlo.
         n, m, k, reps, theta = 64, 32, 4, 8000, 1.0
-        values, dW = simulate_values(SINE, theta, 0.0, n, m, seed=31, reps=reps, cells=k,
+        values, dW = simulate_values(SINE, theta, 0.0, n, m, rngs=rep_rngs(31, (), 0, reps), cells=k,
                                      increments=True)
         tilde = coupled_increments_values(values, dW, n, m, k, 0, LEB, SINE, theta)
         a2 = SINE.a(0.0, theta) ** 2
@@ -238,7 +258,7 @@ class TestGaussianCoupling:
         k, m, reps = 4, 16, 500
         errs = []
         for n in (64, 512):
-            values, dW = simulate_values(SINE, 1.0, 0.0, n, m, seed=8, reps=reps, cells=k,
+            values, dW = simulate_values(SINE, 1.0, 0.0, n, m, rngs=rep_rngs(8, (), 0, reps), cells=k,
                                          increments=True)
             obs = observe_values(values, LEB, k, m)
             U = np.empty((reps, k + 1))
