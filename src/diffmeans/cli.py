@@ -42,6 +42,9 @@ def _parse_measure(value) -> dict:
         return {"kind": "lebesgue"}
     if isinstance(value, dict):
         return value
+    if not isinstance(value, str):
+        raise ValueError(f"measure must be 'lebesgue', 'dirac:<pos>' or a JSON object, "
+                         f"got {value!r}")
     text = value.strip()
     if text == "lebesgue":
         return {"kind": "lebesgue"}
@@ -324,11 +327,15 @@ def cmd_verify(args) -> int:
     selected = _opt(args, file_cfg, "experiment") or ["all"]
     if isinstance(selected, str):
         selected = [selected]
+    if not isinstance(selected, list) or not all(isinstance(e, str) for e in selected):
+        raise ValueError(f"experiment must be a name or a list of names, got {selected!r}")
     for exp in selected:
         if exp != "all" and exp not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {exp!r}; known: {sorted(EXPERIMENTS)} or 'all'")
-    workers = _opt(args, file_cfg, "workers")
-    workers = os.cpu_count() or 1 if workers is None else max(1, int(workers))
+    workers = _opt(args, file_cfg, "workers", os.cpu_count() or 1)
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    workers = max(1, workers)
     out = _opt(args, file_cfg, "out", "report")
 
     # Any of these fields replaces the default suite by bare per-experiment
@@ -346,8 +353,7 @@ def cmd_verify(args) -> int:
         if "all" not in selected:
             configs = [c for c in configs if c.experiment in selected]
     if "tolerances" in file_cfg:
-        tolerances = dict(file_cfg["tolerances"])
-        configs = [dataclasses.replace(c, tolerances=tolerances) for c in configs]
+        configs = [dataclasses.replace(c, tolerances=file_cfg["tolerances"]) for c in configs]
 
     reports = [run_experiment(cfg, workers) for cfg in configs]
     report = merge_reports(reports)

@@ -4,27 +4,17 @@ Each experiment reproduces one checkable claim at desk scale and emits an
 ExperimentReport: per-statistic rows with declared targets and tolerances,
 serializable as CSV plus a JSON summary.  Experiments are bit-reproducible
 given (config, seed) regardless of worker count: every replication (or
-fixed-size chunk of cheap replications) owns a counter-based stream, and
-aggregation is order-independent.
+fixed-size block of cheap chi2 replications) owns a counter-based stream,
+and aggregation is order-independent.
 
-Replications run in chunks whose ranges depend on the workload alone,
-never on the worker count.  A chunk sends back a few values per
+Replications run in chunks whose ranges depend on the workload alone and
+never change a byte of the output.  A chunk sends back a few values per
 replication, never a path or its means: the exact oracle runs inside the
 chunk.  A full-grid chunk (expansion, information, estimator) walks its
 grid in time slices of whole cells, each at most _CHUNK_BUDGET doubles,
 and takes each slice's means, block-edge values and path information
 before it draws the next; the summaries, the solver and the oracle run
 on those alone, so the chunk's peak is one slice plus its means.
-
-A state-dependent model's grid is split into two chunks, so its Euler
-loop steps many rows at once, slice after slice.  A scaled Brownian
-chunk holds whole paths (one slice), its rows bounded by the budget: a
-cumulative sum costs the same per row in any batch.  Per-row results
-depend on neither the split nor the slices.  The other runs keep eight
-chunks per grid, because for them the partition is part of the output:
-chi2 keys one stream by each chunk's start, and coupling's BLAS products
-round differently with the row count (its rows are sized by its k cells,
-not the whole grid).  tails keeps its eight cheap chunks as well.
 
   expansion    log-likelihood-ratio expansion against the exact Gaussian oracle
   information  mean observed information / variance of the score statistic
@@ -48,7 +38,7 @@ from .estimate import solve_rows
 from .exact_oracle import build_base_cov, exact_llr, exact_mle
 from .measures import measure_from_spec, v_coefficients
 from .models import get_model, path_information
-from .quasi_score import aug_summaries, info_terms, obs_summaries, score_terms
+from .quasi_score import aug_increments, aug_summaries, info_terms, obs_summaries, score_terms
 from .simulate import (block_edges, coupled_increments_values, observe_values, rep_rng, rep_rngs,
                        simulate_values)
 
@@ -84,9 +74,12 @@ _STREAM_TAG = {
 # is one such array plus its means (rows x n).
 _CHUNK_BUDGET = 1 << 22
 
-# Chunks per grid (see the module docstring).
-_FULL_GRID_PIECES = 2
-_PIECES = 8
+# Chunks per grid, unless the budget caps their rows: a state-dependent
+# Euler loop then steps many rows at once.
+_PIECES = 2
+
+# Replications per chi2 stream: block b draws from its own generator.
+_CHI2_BLOCK = 1024
 
 
 def resolve_k(rule: str, n: int) -> int:
@@ -133,9 +126,17 @@ class ExperimentConfig:
         if not self.run_id:
             object.__setattr__(self, "run_id", self.experiment)
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(self, "measure", dict(self.measure))
-        model = get_model(self.model)
         measure_from_spec(self.measure)
+        object.__setattr__(self, "measure", dict(self.measure))
+        if not isinstance(self.tolerances, dict):
+            raise ValueError(f"tolerances must be an object of stat: [target, tol], "
+                             f"got {self.tolerances!r}")
+        for stat, pair in self.tolerances.items():
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(v, (int, float)) and math.isfinite(v) for v in pair)):
+                raise ValueError(f"tolerances[{stat!r}] must be a [target, tol] pair of finite "
+                                 f"numbers, got {pair!r}")
+        model = get_model(self.model)
         model.check_theta(self.theta0)
         if not math.isfinite(self.xi0):
             raise ValueError(f"xi0={self.xi0} is not a finite number")
@@ -217,12 +218,6 @@ def merge_reports(reports: list[ExperimentReport]) -> ExperimentReport:
 # worker plumbing
 
 
-def _chunk_ranges(total: int, per_item_doubles: int, pieces: int = _PIECES) -> list[tuple[int, int]]:
-    # Chunk size depends only on the workload, never on the worker count.
-    size = max(1, min(_CHUNK_BUDGET // max(1, per_item_doubles), math.ceil(total / pieces)))
-    return [(s, min(s + size, total)) for s in range(0, total, size)]
-
-
 def _map_chunks(fn, args_list, workers: int):
     if workers > 1 and len(args_list) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as ex:
@@ -245,7 +240,8 @@ def _score_info_arrays(anchors, sizes, q, theta0, model, n):
 
 
 # ---------------------------------------------------------------------------
-# chunk workers (top-level for pickling)
+# chunk workers (top-level for pickling): each takes (cfg, n, k, stream, r0, r1),
+# rows r0..r1 of the grid of n cells and block length k, drawn from stream
 
 
 def _slice_cells(rows: int, n: int, m: int) -> int:
@@ -253,7 +249,7 @@ def _slice_cells(rows: int, n: int, m: int) -> int:
     return min(n, max(1, (_CHUNK_BUDGET // rows - 1) // m))
 
 
-def _grid_means(model, measure, theta0, xi0, n, m, seed, stream, r0, r1, edges=None, info=False):
+def _grid_means(cfg, model, measure, n, stream, r0, r1, edges=None, info=False):
     """Walk rows r0..r1 of a grid in time slices; returns (means, edge values, path information).
 
     Each slice is one simulate_values call of whole cells, at most
@@ -263,22 +259,22 @@ def _grid_means(model, measure, theta0, xi0, n, m, seed, stream, r0, r1, edges=N
     information are taken from it before it is freed.  Every draw, step
     and mean is the one a single call over the whole grid gives.
     """
-    R = r1 - r0
+    R, m = r1 - r0, cfg.m
     cells = _slice_cells(R, n, m)
-    rngs = rep_rngs(seed, stream, r0, r1)
+    rngs = rep_rngs(cfg.seed, stream, r0, r1)
     obs = np.zeros((R, n))
     edge_values = None if edges is None else np.empty((R, edges.size))
     pinfo = np.zeros(R) if info else None
-    start = xi0
+    start = cfg.xi0
     for c0 in range(0, n, cells):
         c1 = min(c0 + cells, n)
-        values, _ = simulate_values(model, theta0, start, n, m, rngs, cells=c1 - c0)
+        values, _ = simulate_values(model, cfg.theta0, start, n, m, rngs, cells=c1 - c0)
         observe_values(values, measure, c1 - c0, m, out=obs[:, c0:c1])
         if edges is not None:
             inside = (edges >= c0) & (edges <= c1)
             edge_values[:, inside] = values[:, (edges[inside] - c0) * m]
         if info:
-            path_information(model, values, theta0, m, 1.0 / (n * m), pinfo)
+            path_information(model, values, cfg.theta0, m, 1.0 / (n * m), pinfo)
         start = values[:, -1].copy()
         # Freed before the next slice is allocated.
         del values
@@ -286,98 +282,102 @@ def _grid_means(model, measure, theta0, xi0, n, m, seed, stream, r0, r1, edges=N
 
 
 def _expansion_chunk(args):
-    (model_name, measure_spec, theta0, xi0, n, m, k, seed, stream, r0, r1, h) = args
-    model = get_model(model_name)
-    measure = measure_from_spec(measure_spec)
-    obs, _, pinfo = _grid_means(model, measure, theta0, xi0, n, m, seed, stream, r0, r1,
+    cfg, n, k, stream, r0, r1 = args
+    model = get_model(cfg.model)
+    measure = measure_from_spec(cfg.measure)
+    obs, _, pinfo = _grid_means(cfg, model, measure, n, stream, r0, r1,
                                 info=not model.scale_family)
     out = {} if pinfo is None else {"pinfo": pinfo}
-    out["N"], out["I"] = _score_info_arrays(*obs_summaries(obs, xi0, k, v_coefficients(measure)),
-                                            theta0, model, n)
+    summaries = obs_summaries(obs, cfg.xi0, k, v_coefficients(measure))
+    out["N"], out["I"] = _score_info_arrays(*summaries, cfg.theta0, model, n)
     if model.scaled_brownian:
         # The oracle is exact for X_0 = 0.  mu has mass 1, so the means of
         # xi0 + theta B are xi0 plus theta times the means of B.  Shifted in
         # place, as obs has no later use and a copy would raise the peak.
-        obs -= xi0
-        out["log_z"] = exact_llr(build_base_cov(n, measure), obs, theta0, theta0 + h / math.sqrt(n))
+        obs -= cfg.xi0
+        out["log_z"] = exact_llr(build_base_cov(n, measure), obs, cfg.theta0,
+                                 cfg.theta0 + cfg.h / math.sqrt(n))
     return out
 
 
 def _information_chunk(args):
-    (model_name, measure_spec, theta0, xi0, n, m, k, seed, stream, r0, r1) = args
-    model = get_model(model_name)
-    measure = measure_from_spec(measure_spec)
-    obs, edge_values, pinfo = _grid_means(model, measure, theta0, xi0, n, m, seed, stream, r0, r1,
+    cfg, n, k, stream, r0, r1 = args
+    model = get_model(cfg.model)
+    measure = measure_from_spec(cfg.measure)
+    obs, edge_values, pinfo = _grid_means(cfg, model, measure, n, stream, r0, r1,
                                           edges=block_edges(n, k), info=not model.scale_family)
     out = {} if pinfo is None else {"pinfo": pinfo}
     summaries = aug_summaries(obs, edge_values, k, v_coefficients(measure))
-    out["N"], out["I"] = _score_info_arrays(*summaries, theta0, model, n)
+    out["N"], out["I"] = _score_info_arrays(*summaries, cfg.theta0, model, n)
     return out
 
 
 def _coupling_chunk(args):
-    (model_name, measure_spec, theta0, xi0, n, m, k, seed, stream, r0, r1) = args
-    model = get_model(model_name)
-    measure = measure_from_spec(measure_spec)
-    values, dW = simulate_values(model, theta0, xi0, n, m, rep_rngs(seed, stream, r0, r1),
-                                 cells=k, increments=True)
-    obs = observe_values(values, measure, k, m)
-    root_n = math.sqrt(n)
-    R = obs.shape[0]
-    U = np.empty((R, k + 1))
-    U[:, 0] = root_n * (obs[:, 0] - values[:, 0])
-    if k > 1:
-        U[:, 1:k] = root_n * np.diff(obs, axis=1)
-    U[:, k] = root_n * (values[:, k * m] - obs[:, -1])
-    U_gauss = coupled_increments_values(values, dW, n, m, k, 0, measure, model, theta0)
+    cfg, n, k, stream, r0, r1 = args
+    model = get_model(cfg.model)
+    measure = measure_from_spec(cfg.measure)
+    values, dW = simulate_values(model, cfg.theta0, cfg.xi0, n, cfg.m,
+                                 rep_rngs(cfg.seed, stream, r0, r1), cells=k, increments=True)
+    # The first block's increments, scaled by sqrt(k) as for a grid of k
+    # cells, then rescaled to sqrt(n).
+    obs = observe_values(values, measure, k, cfg.m)
+    U = aug_increments(obs, values[:, [0, k * cfg.m]], k)[0][:, 0]
+    U *= math.sqrt(n / k)
+    U_gauss = coupled_increments_values(values, dW, n, cfg.m, k, 0, measure, model, cfg.theta0)
     return {"err": np.max(np.abs(U - U_gauss), axis=1)}
 
 
 def _chi2_chunk(args):
-    (dim, ridge, seed, stream, r0, r1) = args
-    rng = rep_rng(seed, *stream, r0)
-    R = r1 - r0
-    A = rng.standard_normal((R, dim, dim))
-    C = A @ np.swapaxes(A, 1, 2) + ridge * np.eye(dim)
-    z = rng.standard_normal((R, dim, 1))
-    G = (np.linalg.cholesky(C) @ z)[:, :, 0]
-    q_full = np.einsum("ri,ri->r", G, np.linalg.solve(C, G[:, :, None])[:, :, 0])
-    C_int = C[:, 1 : dim - 1, 1 : dim - 1]
-    G_int = G[:, 1 : dim - 1]
-    q_int = np.einsum("ri,ri->r", G_int, np.linalg.solve(C_int, G_int[:, :, None])[:, :, 0])
-    return {"delta": q_full - q_int}
+    # Rows b0..b1 are blocks of _CHI2_BLOCK replications, one stream each.
+    cfg, _, _, stream, b0, b1 = args
+    dim = cfg.cov_dim
+    delta = []
+    for b in range(b0, b1):
+        rng = rep_rng(cfg.seed, *stream, b)
+        R = min(_CHI2_BLOCK, cfg.replications - b * _CHI2_BLOCK)
+        A = rng.standard_normal((R, dim, dim))
+        C = A @ np.swapaxes(A, 1, 2) + cfg.ridge * np.eye(dim)
+        z = rng.standard_normal((R, dim, 1))
+        G = (np.linalg.cholesky(C) @ z)[:, :, 0]
+        q_full = np.einsum("ri,ri->r", G, np.linalg.solve(C, G[:, :, None])[:, :, 0])
+        C_int = C[:, 1 : dim - 1, 1 : dim - 1]
+        G_int = G[:, 1 : dim - 1]
+        q_int = np.einsum("ri,ri->r", G_int, np.linalg.solve(C_int, G_int[:, :, None])[:, :, 0])
+        delta.append(q_full - q_int)
+    return {"delta": np.concatenate(delta)}
 
 
 def _tails_chunk(args):
-    (model_name, measure_spec, theta0, xi0, n, m, seed, stream, r0, r1) = args
-    model = get_model(model_name)
-    measure = measure_from_spec(measure_spec)
-    values, _ = simulate_values(model, theta0, xi0, n, m, rep_rngs(seed, stream, r0, r1), cells=1)
-    obs = observe_values(values, measure, 1, m)
+    cfg, n, _, stream, r0, r1 = args
+    model = get_model(cfg.model)
+    measure = measure_from_spec(cfg.measure)
+    values, _ = simulate_values(model, cfg.theta0, cfg.xi0, n, cfg.m,
+                                rep_rngs(cfg.seed, stream, r0, r1), cells=1)
+    obs = observe_values(values, measure, 1, cfg.m)
     root_n = math.sqrt(n)
     return {
-        "u": root_n * (obs[:, 0] - xi0),
-        "v": root_n * (values[:, m] - xi0),
+        "u": root_n * (obs[:, 0] - cfg.xi0),
+        "v": root_n * (values[:, cfg.m] - cfg.xi0),
     }
 
 
 def _estimator_chunk(args):
-    (model_name, measure_spec, theta0, xi0, n, m, k, seed, stream, r0, r1, estimators) = args
-    model = get_model(model_name)
-    measure = measure_from_spec(measure_spec)
+    cfg, n, k, stream, r0, r1 = args
+    model = get_model(cfg.model)
+    measure = measure_from_spec(cfg.measure)
     coeffs = v_coefficients(measure)
-    obs, edge_values, _ = _grid_means(model, measure, theta0, xi0, n, m, seed, stream, r0, r1,
+    obs, edge_values, _ = _grid_means(cfg, model, measure, n, stream, r0, r1,
                                       edges=block_edges(n, k))
     out = {}
-    if "augmented" in estimators:
+    if "augmented" in cfg.estimators:
         res = solve_rows(model, *aug_summaries(obs, edge_values, k, coeffs), n)
         out["theta_aug"], out["info_aug"] = res.theta_hat, res.info_at_hat
-    if "means_only" in estimators:
-        res = solve_rows(model, *obs_summaries(obs, xi0, k, coeffs), n)
+    if "means_only" in cfg.estimators:
+        res = solve_rows(model, *obs_summaries(obs, cfg.xi0, k, coeffs), n)
         out["theta_obs"], out["info_obs"] = res.theta_hat, res.info_at_hat
-    if "exact_mle" in estimators and model.scaled_brownian:
+    if "exact_mle" in cfg.estimators and model.scaled_brownian:
         # The oracle's means start at 0 (see _expansion_chunk).
-        obs -= xi0
+        obs -= cfg.xi0
         out["theta_mle"] = exact_mle(build_base_cov(n, measure), obs)
     return out
 
@@ -453,21 +453,27 @@ def _info_budget(cfg, results) -> float:
     return float(np.mean(_gather(results, "pinfo")))
 
 
-def _path_chunk_args(cfg, n, k, n_index, extra=()):
-    stream = (_STREAM_TAG[cfg.experiment], n_index)
-    m = cfg.m
-    if cfg.experiment == "coupling":
-        ranges = _chunk_ranges(cfg.replications, k * m + 1)
+def _path_chunk_args(cfg, n, k, n_index):
+    """Chunk arguments (cfg, n, k, stream, r0, r1) of one grid, rows sized by the budget.
+
+    The ranges depend on the workload alone, never on the worker count.
+    """
+    rows = cfg.replications
+    if cfg.experiment == "chi2":
+        # Its rows are blocks of _CHI2_BLOCK replications, drawn one at a time.
+        rows, width = math.ceil(rows / _CHI2_BLOCK), _CHI2_BLOCK * cfg.cov_dim**2
+    elif cfg.experiment in ("coupling", "tails"):
+        # The k cells it simulates (tails: k = 1).
+        width = k * cfg.m + 1
     elif get_model(cfg.model).scaled_brownian:
         # Whole paths: a cumulative sum costs the same per row in any batch.
-        ranges = _chunk_ranges(cfg.replications, n * m + 1, _FULL_GRID_PIECES)
+        width = n * cfg.m + 1
     else:
         # Walked in slices: the budget bounds the means and a one-cell slice.
-        ranges = _chunk_ranges(cfg.replications, n + m + 1, _FULL_GRID_PIECES)
-    return [
-        (cfg.model, cfg.measure, cfg.theta0, cfg.xi0, n, m, k, cfg.seed, stream, r0, r1, *extra)
-        for r0, r1 in ranges
-    ]
+        width = n + cfg.m + 1
+    size = max(1, min(_CHUNK_BUDGET // width, math.ceil(rows / _PIECES)))
+    stream = (_STREAM_TAG[cfg.experiment], n_index)
+    return [(cfg, n, k, stream, r0, min(r0 + size, rows)) for r0 in range(0, rows, size)]
 
 
 def run_expansion(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -479,8 +485,7 @@ def run_expansion(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     residual_track = []
     for i, n in enumerate(cfg.n_list):
         k = resolve_k(cfg.k_rule, n)
-        args = _path_chunk_args(cfg, n, k, i, extra=(cfg.h,))
-        results = _map_chunks(_expansion_chunk, args, workers)
+        results = _map_chunks(_expansion_chunk, _path_chunk_args(cfg, n, k, i), workers)
         N = _gather(results, "N")
         I = _gather(results, "I")
         info_budget = _info_budget(cfg, results)
@@ -565,9 +570,7 @@ def run_chi2_lemma(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     M = cfg.replications
     if cfg.cov_dim < 3:
         raise ValueError("chi2 experiment needs cov_dim >= 3")
-    stream = (_STREAM_TAG["chi2"], 0)
-    ranges = _chunk_ranges(M, 2 * cfg.cov_dim**2)
-    args = [(cfg.cov_dim, cfg.ridge, cfg.seed, stream, r0, r1) for r0, r1 in ranges]
+    args = _path_chunk_args(cfg, 0, cfg.cov_dim - 1, 0)
     delta = _gather(_map_chunks(_chi2_chunk, args, workers), "delta")
     mean_d, se_d = _mean_se(delta)
     var_d, se_vd = _var_se(delta)
@@ -588,13 +591,7 @@ def run_density_tails(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     rows = _Rows(cfg)
     M = cfg.replications
     n = cfg.n_list[0]
-    stream = (_STREAM_TAG["tails"], 0)
-    ranges = _chunk_ranges(M, cfg.m + 1)
-    args = [
-        (cfg.model, cfg.measure, cfg.theta0, cfg.xi0, n, cfg.m, cfg.seed, stream, r0, r1)
-        for r0, r1 in ranges
-    ]
-    results = _map_chunks(_tails_chunk, args, workers)
+    results = _map_chunks(_tails_chunk, _path_chunk_args(cfg, n, 1, 0), workers)
     u = _gather(results, "u")
     v = _gather(results, "v")
     r2 = u * u + v * v
@@ -626,8 +623,7 @@ def run_estimator(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     deterministic_info = model.scale_family
     for i, n in enumerate(cfg.n_list):
         k = resolve_k(cfg.k_rule, n)
-        args = _path_chunk_args(cfg, n, k, i, extra=(tuple(cfg.estimators),))
-        results = _map_chunks(_estimator_chunk, args, workers)
+        results = _map_chunks(_estimator_chunk, _path_chunk_args(cfg, n, k, i), workers)
         root_n = math.sqrt(n)
         if "augmented" in cfg.estimators:
             theta_hat = _gather(results, "theta_aug")

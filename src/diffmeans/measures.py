@@ -179,10 +179,18 @@ def measure_from_spec(spec: dict) -> WeightMeasure:
     kind = spec["kind"]
     if kind == "lebesgue":
         return WeightMeasure.lebesgue()
+    atoms = spec.get("atoms", [])
+    if not isinstance(atoms, (list, tuple)) or not all(
+            isinstance(atom, (list, tuple)) and len(atom) == 2
+            and all(isinstance(v, (int, float)) for v in atom) for atom in atoms):
+        raise ValueError(f"measure atoms must be a list of [position, weight] pairs, got {atoms!r}")
     if kind == "atomic":
-        return WeightMeasure.atomic(spec.get("atoms", []))
+        return WeightMeasure.atomic(atoms)
     if kind == "mixture":
-        return WeightMeasure.mixture(spec.get("lebesgue", 0.0), spec.get("atoms", []))
+        lebesgue = spec.get("lebesgue", 0.0)
+        if not isinstance(lebesgue, (int, float)):
+            raise ValueError(f"measure lebesgue weight must be a number, got {lebesgue!r}")
+        return WeightMeasure.mixture(lebesgue, atoms)
     raise ValueError(f"unknown measure kind {kind!r}")
 
 

@@ -162,15 +162,17 @@ def coupled_increments_values(values, dW, n: int, m: int, k: int, start: int,
     """Frozen-coefficient Gaussian increments for the block of k cells at ``start``.
 
     Built from the same Brownian increments as the path, with the diffusion
-    coefficient frozen at the block anchor; one row per path.
+    coefficient frozen at the block anchor; one row per path.  Substep p
+    of cell j adds its tail share to increment j and its cum share to
+    increment j + 1, elementwise and strided like observe_values, so a
+    row's bits do not depend on the batch.
     """
     tail, cum = coupling_weights(measure, m)
     d = dW[:, start * m : (start + k) * m]
-    out = np.empty((values.shape[0], k + 1))
-    out[:, 0] = d[:, :m] @ tail
-    for j in range(1, k):
-        out[:, j] = d[:, (j - 1) * m : j * m] @ cum + d[:, j * m : (j + 1) * m] @ tail
-    out[:, k] = d[:, (k - 1) * m :] @ cum
+    out = np.zeros((values.shape[0], k + 1))
+    for p in range(m):
+        out[:, :k] += tail[p] * d[:, p::m]
+        out[:, 1:] += cum[p] * d[:, p::m]
     anchor = values[:, start * m]
     out *= (np.sqrt(n) * model.a(anchor, theta))[:, None]
     return out

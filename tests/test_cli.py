@@ -71,6 +71,35 @@ def test_non_finite_measure_exits_2_without_output(command, spec, message, tmp_p
     assert [p.name for p in tmp_path.iterdir()] == ["obs.csv"]
 
 
+@pytest.mark.parametrize("command,config,key", [
+    ("verify", {"tolerances": [1, 2]}, "tolerances"),
+    ("verify", {"tolerances": {"delta_mean": 5}}, "tolerances['delta_mean']"),
+    ("verify", {"measure": 5}, "measure"),
+    ("simulate", {"measure": 5}, "measure"),
+    ("verify", {"measure": {"kind": "atomic", "atoms": 5}}, "measure atoms"),
+    ("simulate", {"measure": {"kind": "atomic", "atoms": 5}}, "measure atoms"),
+    ("verify", {"experiment": 5}, "experiment"),
+    ("verify", {"workers": [2]}, "workers"),
+], ids=["tolerances_list", "tolerance_number", "verify_measure_number",
+        "simulate_measure_number", "verify_atoms_number", "simulate_atoms_number",
+        "experiment_number", "workers_list"])
+def test_wrongly_typed_config_value_exits_2(command, config, key, tmp_path, monkeypatch, capsys):
+    # Refused where the value enters: one error line naming the key,
+    # before any simulation or experiment runs, and no file written.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran with a malformed config")
+
+    monkeypatch.setattr("diffmeans.cli.simulate_values", must_not_run)
+    monkeypatch.setattr("diffmeans.cli.run_experiment", must_not_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} ") and captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 _NUMPY_MESSAGE = ("Unable to allocate 23.3 TiB for an array with shape (1, 3200000000001) "
                   "and data type float64")
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 
 from diffmeans import experiments, models
 from diffmeans.experiments import (
+    _CHI2_BLOCK,
     _CHUNK_BUDGET,
+    _PIECES,
     ExperimentConfig,
-    _chunk_ranges,
+    _chi2_chunk,
+    _coupling_chunk,
     _estimator_chunk,
     _expansion_chunk,
     _information_chunk,
@@ -170,6 +174,19 @@ class TestReports:
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ORACLE_CSV_SHA256
 
 
+def _concatenated(fn, args, pieces):
+    """fn over the chunks ``pieces`` of args = (cfg, n, k, stream, r0, r1), concatenated."""
+    cfg, n, k, stream, r0, _ = args
+    parts = [fn((cfg, n, k, stream, r0 + p0, r0 + p1)) for p0, p1 in pieces]
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
+def _assert_same(got, expect, label):
+    assert set(got) == set(expect), label
+    for key, value in expect.items():
+        np.testing.assert_array_equal(got[key], value, err_msg=f"{label} {key}")
+
+
 class TestChunkPartition:
     """Chunk outputs do not depend on how the replications are split."""
 
@@ -178,73 +195,104 @@ class TestChunkPartition:
            measure=st.sampled_from([{"kind": "lebesgue"}, {"kind": "atomic", "atoms": [[0.5, 1.0]]}]),
            n=st.integers(2, 24), k=st.integers(1, 24), m=st.sampled_from([2, 4]),
            reps=st.integers(1, 9), cuts=st.sets(st.integers(1, 8)),
-           theta0=st.floats(0.6, 2.5), xi0=st.floats(-1.0, 1.0), h=st.floats(-0.4, 1.0),
+           theta0=st.floats(0.8, 2.2), xi0=st.floats(-1.0, 1.0), h=st.floats(-0.4, 1.0),
            seed=st.integers(0, 2**32 - 1))
     def test_any_split_matches_one_call(self, model, measure, n, k, m, reps, cuts, theta0, xi0, h,
                                         seed):
         # k below n leaves a partial last block unless k divides n; pieces
-        # of one row are included.
+        # of one row are included.  theta0 + h/sqrt(n) stays inside the
+        # models' interval [0.5, 3], as a config requires.
         k = min(k, n)
         bounds = [0] + sorted(c for c in cuts if c < reps) + [reps]
         pieces = list(zip(bounds[:-1], bounds[1:]))
-        head = (model, measure, theta0, xi0, n, m)
         estimators = ("augmented", "means_only", "exact_mle") if k >= 2 else ("augmented",)
-        chunk_fns = [
-            (_information_chunk, lambda r0, r1: (*head, k, seed, (2, 0), r0, r1)),
-            (_estimator_chunk, lambda r0, r1: (*head, k, seed, (6, 0), r0, r1, estimators)),
-            (_tails_chunk, lambda r0, r1: (*head, seed, (5, 0), r0, r1)),
-        ]
+        workers = [(_information_chunk, "information", k, (2, 0)),
+                   (_estimator_chunk, "estimator", k, (6, 0)),
+                   (_coupling_chunk, "coupling", k, (3, 0)), (_tails_chunk, "tails", 1, (5, 0))]
         if k >= 2:
-            chunk_fns.append((_expansion_chunk, lambda r0, r1: (*head, k, seed, (1, 0), r0, r1, h)))
-        for fn, args in chunk_fns:
-            whole = fn(args(0, reps))
-            parts = [fn(args(r0, r1)) for r0, r1 in pieces]
-            assert set(whole) == set(parts[0])
-            for key, value in whole.items():
-                np.testing.assert_array_equal(np.concatenate([p[key] for p in parts]), value,
-                                              err_msg=f"{fn.__name__} {key}")
+            workers.append((_expansion_chunk, "expansion", k, (1, 0)))
+        for fn, name, block, stream in workers:
+            cfg = ExperimentConfig(experiment=name, model=model, measure=measure, theta0=theta0,
+                                   xi0=xi0, h=h, n_list=(n,), k_rule=f"fixed:{k}", m=m, seed=seed,
+                                   estimators=estimators)
+            args = (cfg, n, block, stream, 0, reps)
+            _assert_same(_concatenated(fn, args, pieces), fn(args), fn.__name__)
+
+    @staticmethod
+    def _worker_args():
+        # One grid per worker, with rows 2..2+R: a two-atom measure, a
+        # partial last block (k = 5 does not divide n = 32), and chi2 rows
+        # that are blocks of _CHI2_BLOCK replications, the last one short.
+        measure = {"kind": "mixture", "lebesgue": 0.5, "atoms": [[0.25, 0.3], [0.8, 0.2]]}
+        common = dict(measure=measure, theta0=1.2, xi0=0.3, n_list=(32,), k_rule="fixed:5",
+                      m=4, seed=11)
+        R = 10
+        cfgs = {
+            _expansion_chunk: ExperimentConfig(experiment="expansion", model="multiplicative_bm",
+                                               **common),
+            _information_chunk: ExperimentConfig(experiment="information", model="cauchy_scale",
+                                                 **common),
+            _estimator_chunk: ExperimentConfig(experiment="estimator", model="multiplicative_bm",
+                                               **common),
+            _coupling_chunk: ExperimentConfig(experiment="coupling", model="sine_scale", **common),
+            _tails_chunk: ExperimentConfig(experiment="tails", model="sine_scale", **common),
+        }
+        calls = [(fn, (cfg, 32, 1 if fn is _tails_chunk else 5, (1, 0), 2, 2 + R))
+                 for fn, cfg in cfgs.items()]
+        chi2 = ExperimentConfig(experiment="chi2", replications=9 * _CHI2_BLOCK + 100, seed=11)
+        calls.append((_chi2_chunk, (chi2, 0, 5, (4, 0), 0, 10)))
+        return calls
+
+    @pytest.mark.parametrize("pieces", [2, 3, 8, "rows"])
+    def test_every_worker_is_free_of_the_split(self, pieces):
+        for fn, args in self._worker_args():
+            rows = args[5] - args[4]
+            count = rows if pieces == "rows" else pieces
+            bounds = [round(i * rows / count) for i in range(count + 1)]
+            split = list(zip(bounds[:-1], bounds[1:]))
+            assert len(split) == count and all(p1 > p0 for p0, p1 in split)
+            _assert_same(_concatenated(fn, args, split), fn(args), f"{fn.__name__} {pieces}")
 
     def test_ranges_take_no_worker_count(self):
-        for fn in (_chunk_ranges, _path_chunk_args):
-            assert "workers" not in inspect.signature(fn).parameters
+        assert "workers" not in inspect.signature(_path_chunk_args).parameters
 
-    def test_chi2_ranges_unchanged(self):
-        # chi2 keys one stream by each chunk's start, so its eight ranges
-        # are part of its output.
-        assert _chunk_ranges(100_000, 2 * 6**2) == [(r0, r0 + 12_500) for r0 in range(0, 100_000, 12_500)]
-
-    def test_default_suite_partition(self):
-        # Two chunks per grid for the full-grid runs, unless the memory
-        # budget caps a scaled Brownian chunk's whole paths (expansion at
-        # every n, the estimators at 500 replications); eight per grid for
-        # coupling, whose BLAS products round differently with the row
-        # count.  A state-dependent chunk walks its grid in time slices, so
-        # every path array stays within the budget.
+    def test_one_chunking_rule(self):
+        # Every run of the default suite: the chunks cover its rows (chi2's
+        # rows are blocks of replications), every path array a chunk holds
+        # fits the budget, and a grid has two chunks unless the budget caps
+        # their rows.
         counts = {}
         for cfg in default_verify_configs():
-            if cfg.experiment == "chi2":
-                continue
-            whole = get_model(cfg.model).scaled_brownian
             for i, n in enumerate(cfg.n_list):
-                k = resolve_k(cfg.k_rule, n)
-                if cfg.experiment == "tails":
-                    ranges = _chunk_ranges(cfg.replications, cfg.m + 1)
-                else:
-                    ranges = [a[9:11] for a in _path_chunk_args(cfg, n, k, i)]
-                starts, stops = zip(*ranges)
-                assert starts == (0, *stops[:-1]) and stops[-1] == cfg.replications
-                for r0, r1 in ranges:
-                    cells = {"coupling": k, "tails": 1}.get(cfg.experiment)
-                    if cells is None:
+                k = ({"chi2": cfg.cov_dim - 1, "tails": 1}.get(cfg.experiment)
+                     or resolve_k(cfg.k_rule, n))
+                args = _path_chunk_args(cfg, n, k, i)
+                assert all(a[:4] == (cfg, n, k, args[0][3]) for a in args)
+                starts, stops = zip(*(a[4:] for a in args))
+                total = stops[-1]
+                assert starts == (0, *stops[:-1])
+                assert total == (math.ceil(cfg.replications / _CHI2_BLOCK)
+                                 if cfg.experiment == "chi2" else cfg.replications)
+                whole = get_model(cfg.model).scaled_brownian
+                for r0, r1 in zip(starts, stops):
+                    if cfg.experiment == "chi2":
+                        width = _CHI2_BLOCK * cfg.cov_dim**2
+                    elif cfg.experiment in ("coupling", "tails"):
+                        width = k * cfg.m + 1
+                    else:
                         cells = _slice_cells(r1 - r0, n, cfg.m)
                         assert cells == n or not whole
-                    assert (r1 - r0) * (cells * cfg.m + 1) <= _CHUNK_BUDGET
-                counts.setdefault(cfg.run_id, []).append(len(ranges))
+                        width = cells * cfg.m + 1
+                    assert (r1 - r0) * width <= _CHUNK_BUDGET
+                size = stops[0]
+                assert len(args) == _PIECES or size < math.ceil(total / _PIECES)
+                counts.setdefault(cfg.run_id, []).append(len(args))
+        # Only the scaled Brownian full grids hit the cap: expansion at every
+        # n and the estimators at n = 1024 and 2048.
         assert counts == {
             "expansion": [4, 16, 65],
             "information_k1": [2], "information_k10": [2], "information_log2": [2],
-            "coupling": [8] * 7,
-            "tails": [8], "tails_control": [8],
+            "coupling": [2] * 7, "chi2": [2], "tails": [2], "tails_control": [2],
             "estimator_augmented": [4], "estimator_means_only": [8], "estimator_mixed_normal": [2],
         }
 
@@ -257,12 +305,12 @@ class TestChunkPartition:
         # m = 4: 24, 12 and 4 slices.  k = 7 puts block edges on the
         # 7-cell slices' boundaries and leaves a partial last block.
         n, m, k, R = 24, 4, 7, 5
-        head = (model, measure, 1.3, 0.4, n, m, k, 11)
-        calls = [
-            (_expansion_chunk, (*head, (1, 0), 2, 2 + R, 1.0)),
-            (_information_chunk, (*head, (2, 0), 2, 2 + R)),
-            (_estimator_chunk, (*head, (6, 0), 2, 2 + R, ("augmented", "means_only", "exact_mle"))),
-        ]
+        cfg = dict(model=model, measure=measure, theta0=1.3, xi0=0.4, n_list=(n,),
+                   k_rule=f"fixed:{k}", m=m, seed=11)
+        calls = [(fn, (ExperimentConfig(experiment=name, **cfg), n, k, stream, 2, 2 + R))
+                 for fn, name, stream in ((_expansion_chunk, "expansion", (1, 0)),
+                                          (_information_chunk, "information", (2, 0)),
+                                          (_estimator_chunk, "estimator", (6, 0)))]
         whole = [fn(args) for fn, args in calls]
         for budget, cells in [(R * (m + 1), 1), (R * (2 * m + 1), 2), (R * (7 * m + 1), 7)]:
             monkeypatch.setattr(experiments, "_CHUNK_BUDGET", budget)
@@ -281,12 +329,15 @@ class TestChunkOutputs:
     @staticmethod
     def _outputs(model, xi0):
         # Rows 3..8 of n = 32 means under a two-atom measure.
-        head = (model, {"kind": "atomic", "atoms": [[0.25, 0.5], [0.75, 0.5]]}, 1.2, xi0, 32, 4, 4, 11)
-        estimators = ("augmented", "means_only", "exact_mle")
+        cfg = dict(model=model, measure={"kind": "atomic", "atoms": [[0.25, 0.5], [0.75, 0.5]]},
+                   theta0=1.2, xi0=xi0, n_list=(32,), k_rule="fixed:4", m=4, seed=11)
         return {
-            "expansion": _expansion_chunk((*head, (1, 0), 3, 8, 1.0)),
-            "information": _information_chunk((*head, (2, 0), 3, 8)),
-            "estimator": _estimator_chunk((*head, (6, 0), 3, 8, estimators)),
+            "expansion": _expansion_chunk((ExperimentConfig(experiment="expansion", **cfg),
+                                           32, 4, (1, 0), 3, 8)),
+            "information": _information_chunk((ExperimentConfig(experiment="information", **cfg),
+                                               32, 4, (2, 0), 3, 8)),
+            "estimator": _estimator_chunk((ExperimentConfig(experiment="estimator", **cfg),
+                                           32, 4, (6, 0), 3, 8)),
         }
 
     @pytest.mark.parametrize("model", ["multiplicative_bm", "sine_scale", "cauchy_scale"])
@@ -333,13 +384,13 @@ class TestChunkMemory:
     @pytest.mark.parametrize("worker", ["expansion", "information", "estimator"])
     def test_peak_is_path_plus_means(self, monkeypatch, model, worker):
         n, m, k, R = self.N, self.M_SUB, self.K, self.ROWS
-        head = (model, {"kind": "atomic", "atoms": [[0.5, 1.0]]}, 1.0, 0.0, n, m, k, 7)
-        fn, args = {
-            "expansion": (_expansion_chunk, (*head, (1, 0), 0, R, 1.0)),
-            "information": (_information_chunk, (*head, (2, 0), 0, R)),
-            "estimator": (_estimator_chunk,
-                          (*head, (6, 0), 0, R, ("augmented", "means_only", "exact_mle"))),
-        }[worker]
+        cfg = ExperimentConfig(experiment=worker, model=model,
+                               measure={"kind": "atomic", "atoms": [[0.5, 1.0]]}, theta0=1.0,
+                               xi0=0.0, n_list=(n,), k_rule=f"fixed:{k}", m=m, seed=7)
+        fn, stream = {"expansion": (_expansion_chunk, (1, 0)),
+                      "information": (_information_chunk, (2, 0)),
+                      "estimator": (_estimator_chunk, (6, 0))}[worker]
+        args = (cfg, n, k, stream, 0, R)
         monkeypatch.setattr(experiments, "_CHUNK_BUDGET", self.BUDGET)
         shapes = []
         simulate = experiments.simulate_values

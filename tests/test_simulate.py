@@ -240,6 +240,19 @@ class TestGaussianCoupling:
                                               MULT, 1.4)
             np.testing.assert_allclose(inc, tilde[0], atol=1e-11)
 
+    def test_rows_match_single_row_calls(self):
+        # Each row of a 500-row batch has the bits of the same row alone,
+        # for a block inside the grid and under atoms between substeps.
+        n, m, k, start = 64, 8, 5, 3
+        measure = WeightMeasure.mixture(0.5, [(0.3, 0.25), (0.7, 0.25)])
+        values, dW = simulate_values(SINE, 1.2, 0.1, n, m, rngs=rep_rngs(5, (), 0, 500),
+                                     cells=start + k, increments=True)
+        batch = coupled_increments_values(values, dW, n, m, k, start, measure, SINE, 1.2)
+        for r in range(500):
+            alone = coupled_increments_values(values[r : r + 1], dW[r : r + 1], n, m, k, start,
+                                              measure, SINE, 1.2)
+            np.testing.assert_array_equal(alone[0], batch[r], err_msg=f"row {r}")
+
     def test_conditional_covariance_structure(self):
         # Vectors coupled at a fixed anchor are Gaussian with covariance
         # a^2(anchor) K; checked entrywise by Monte Carlo.
