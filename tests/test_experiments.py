@@ -256,45 +256,67 @@ class TestChunkPartition:
     def test_ranges_take_no_worker_count(self):
         assert "workers" not in inspect.signature(_path_chunk_args).parameters
 
+    @staticmethod
+    def _default_suite_args():
+        # (cfg, k, args) for every grid of the default suite.
+        for cfg in default_verify_configs():
+            for i, n in enumerate(cfg.n_list):
+                k = ({"chi2": cfg.cov_dim - 1, "tails": 1}.get(cfg.experiment)
+                     or resolve_k(cfg.k_rule, n))
+                yield cfg, k, _path_chunk_args(cfg, n, k, i)
+
     def test_one_chunking_rule(self):
         # Every run of the default suite: the chunks cover its rows (chi2's
         # rows are blocks of replications), every path array a chunk holds
         # fits the budget, and a grid has two chunks unless the budget caps
         # their rows.
-        counts = {}
-        for cfg in default_verify_configs():
-            for i, n in enumerate(cfg.n_list):
-                k = ({"chi2": cfg.cov_dim - 1, "tails": 1}.get(cfg.experiment)
-                     or resolve_k(cfg.k_rule, n))
-                args = _path_chunk_args(cfg, n, k, i)
-                assert all(a[:4] == (cfg, n, k, args[0][3]) for a in args)
-                starts, stops = zip(*(a[4:] for a in args))
-                total = stops[-1]
-                assert starts == (0, *stops[:-1])
-                assert total == (math.ceil(cfg.replications / _CHI2_BLOCK)
-                                 if cfg.experiment == "chi2" else cfg.replications)
-                whole = get_model(cfg.model).scaled_brownian
-                for r0, r1 in zip(starts, stops):
-                    if cfg.experiment == "chi2":
-                        width = _CHI2_BLOCK * cfg.cov_dim**2
-                    elif cfg.experiment in ("coupling", "tails"):
-                        width = k * cfg.m + 1
-                    else:
-                        cells = _slice_cells(r1 - r0, n, cfg.m)
-                        assert cells == n or not whole
-                        width = cells * cfg.m + 1
-                    assert (r1 - r0) * width <= _CHUNK_BUDGET
-                size = stops[0]
-                assert len(args) == _PIECES or size < math.ceil(total / _PIECES)
-                counts.setdefault(cfg.run_id, []).append(len(args))
+        for cfg, k, args in self._default_suite_args():
+            n = args[0][1]
+            assert all(a[:4] == (cfg, n, k, args[0][3]) for a in args)
+            starts, stops = zip(*(a[4:] for a in args))
+            total = stops[-1]
+            assert starts == (0, *stops[:-1])
+            assert total == (math.ceil(cfg.replications / _CHI2_BLOCK)
+                             if cfg.experiment == "chi2" else cfg.replications)
+            whole = get_model(cfg.model).scaled_brownian
+            for r0, r1 in zip(starts, stops):
+                if cfg.experiment == "chi2":
+                    width = _CHI2_BLOCK * cfg.cov_dim**2
+                elif cfg.experiment in ("coupling", "tails"):
+                    width = k * cfg.m + 1
+                else:
+                    cells = _slice_cells(r1 - r0, n, cfg.m)
+                    assert cells == n or not whole
+                    width = cells * cfg.m + 1
+                assert (r1 - r0) * width <= _CHUNK_BUDGET
+            size = stops[0]
+            assert len(args) == _PIECES or size < math.ceil(total / _PIECES)
+
+    def test_default_suite_partition(self):
         # Only the scaled Brownian full grids hit the cap: expansion at every
         # n and the estimators at n = 1024 and 2048.
+        counts = {}
+        for cfg, _, args in self._default_suite_args():
+            counts.setdefault(cfg.run_id, []).append(len(args))
         assert counts == {
             "expansion": [4, 16, 65],
             "information_k1": [2], "information_k10": [2], "information_log2": [2],
             "coupling": [2] * 7, "chi2": [2], "tails": [2], "tails_control": [2],
             "estimator_augmented": [4], "estimator_means_only": [8], "estimator_mixed_normal": [2],
         }
+
+    def test_chi2_ranges_unchanged(self, monkeypatch):
+        # chi2 keys one stream per block of _CHI2_BLOCK replications, so the
+        # default run's 98 blocks (the last one short) go in two halves, and
+        # its CSV is unchanged when the blocks are split otherwise.
+        cfg = ExperimentConfig(experiment="chi2", replications=100_000, cov_dim=6, seed=3)
+        assert [a[4:] for a in _path_chunk_args(cfg, 0, 5, 0)] == [(0, 49), (49, 98)]
+        small = dataclasses.replace(cfg, replications=5 * _CHI2_BLOCK + 100)
+        expect = run_chi2_lemma(small).to_csv_text()
+        for pieces in (1, 3, 6):
+            monkeypatch.setattr(experiments, "_PIECES", pieces)
+            assert len(_path_chunk_args(small, 0, 5, 0)) == pieces
+            assert run_chi2_lemma(small).to_csv_text() == expect, pieces
 
     @pytest.mark.parametrize("model", ["multiplicative_bm", "sine_scale", "cauchy_scale"])
     @pytest.mark.parametrize("measure", [{"kind": "lebesgue"},
