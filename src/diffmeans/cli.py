@@ -332,10 +332,11 @@ def cmd_verify(args) -> int:
     for exp in selected:
         if exp != "all" and exp not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {exp!r}; known: {sorted(EXPERIMENTS)} or 'all'")
-    workers = _opt(args, file_cfg, "workers", os.cpu_count() or 1)
-    if not isinstance(workers, int) or isinstance(workers, bool):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    workers = max(1, workers)
+    workers = _opt(args, file_cfg, "workers")
+    try:
+        workers = (os.cpu_count() or 1) if workers is None else max(1, int(workers))
+    except (TypeError, ValueError):
+        raise ValueError(f"workers must be an integer, got {workers!r}") from None
     out = _opt(args, file_cfg, "out", "report")
 
     # Any of these fields replaces the default suite by bare per-experiment

@@ -570,7 +570,7 @@ def run_chi2_lemma(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     M = cfg.replications
     if cfg.cov_dim < 3:
         raise ValueError("chi2 experiment needs cov_dim >= 3")
-    args = _path_chunk_args(cfg, 0, cfg.cov_dim - 1, 0)
+    args = _path_chunk_args(cfg, 0, 0, 0)
     delta = _gather(_map_chunks(_chi2_chunk, args, workers), "delta")
     mean_d, se_d = _mean_se(delta)
     var_d, se_vd = _var_se(delta)

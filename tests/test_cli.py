@@ -100,6 +100,24 @@ def test_wrongly_typed_config_value_exits_2(command, config, key, tmp_path, monk
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("value,expect", [(2, 2), ("2", 2), (2.0, 2), (0, 1), (None, None)],
+                         ids=["int", "string", "float", "zero", "null"])
+def test_config_workers_convert_as_integers(value, expect, tmp_path, monkeypatch):
+    # A config file's workers go through int(); null means the CPU count.
+    seen = []
+
+    def record(cfg, workers):
+        seen.append(workers)
+        raise SystemExit(0)
+
+    monkeypatch.setattr("diffmeans.cli.run_experiment", record)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": value, "experiment": "chi2"}))
+    with pytest.raises(SystemExit):
+        run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert seen == [expect or (os.cpu_count() or 1)]
+
+
 _NUMPY_MESSAGE = ("Unable to allocate 23.3 TiB for an array with shape (1, 3200000000001) "
                   "and data type float64")
 

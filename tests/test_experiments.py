@@ -192,16 +192,17 @@ class TestChunkPartition:
 
     @settings(max_examples=40, deadline=None)
     @given(model=st.sampled_from(["multiplicative_bm", "sine_scale", "cauchy_scale"]),
-           measure=st.sampled_from([{"kind": "lebesgue"}, {"kind": "atomic", "atoms": [[0.5, 1.0]]}]),
+           measure=st.sampled_from([{"kind": "lebesgue"}, {"kind": "atomic", "atoms": [[0.5, 1.0]]},
+                                    {"kind": "mixture", "lebesgue": 0.5,
+                                     "atoms": [[0.25, 0.3], [0.8, 0.2]]}]),
            n=st.integers(2, 24), k=st.integers(1, 24), m=st.sampled_from([2, 4]),
            reps=st.integers(1, 9), cuts=st.sets(st.integers(1, 8)),
-           theta0=st.floats(0.8, 2.2), xi0=st.floats(-1.0, 1.0), h=st.floats(-0.4, 1.0),
+           theta0=st.floats(0.6, 2.5), xi0=st.floats(-1.0, 1.0), h=st.floats(-0.4, 1.0),
            seed=st.integers(0, 2**32 - 1))
     def test_any_split_matches_one_call(self, model, measure, n, k, m, reps, cuts, theta0, xi0, h,
                                         seed):
         # k below n leaves a partial last block unless k divides n; pieces
-        # of one row are included.  theta0 + h/sqrt(n) stays inside the
-        # models' interval [0.5, 3], as a config requires.
+        # of one row are included.
         k = min(k, n)
         bounds = [0] + sorted(c for c in cuts if c < reps) + [reps]
         pieces = list(zip(bounds[:-1], bounds[1:]))
@@ -212,46 +213,28 @@ class TestChunkPartition:
         if k >= 2:
             workers.append((_expansion_chunk, "expansion", k, (1, 0)))
         for fn, name, block, stream in workers:
+            h_run = h
+            if name == "expansion":
+                # Its config requires theta0 + h/sqrt(n) inside the
+                # models' interval [0.5, 3].
+                room = 0.99 * math.sqrt(n)
+                h_run = min(max(h, (0.5 - theta0) * room), (3.0 - theta0) * room)
             cfg = ExperimentConfig(experiment=name, model=model, measure=measure, theta0=theta0,
-                                   xi0=xi0, h=h, n_list=(n,), k_rule=f"fixed:{k}", m=m, seed=seed,
-                                   estimators=estimators)
+                                   xi0=xi0, h=h_run, n_list=(n,), k_rule=f"fixed:{k}", m=m,
+                                   seed=seed, estimators=estimators)
             args = (cfg, n, block, stream, 0, reps)
             _assert_same(_concatenated(fn, args, pieces), fn(args), fn.__name__)
 
-    @staticmethod
-    def _worker_args():
-        # One grid per worker, with rows 2..2+R: a two-atom measure, a
-        # partial last block (k = 5 does not divide n = 32), and chi2 rows
-        # that are blocks of _CHI2_BLOCK replications, the last one short.
-        measure = {"kind": "mixture", "lebesgue": 0.5, "atoms": [[0.25, 0.3], [0.8, 0.2]]}
-        common = dict(measure=measure, theta0=1.2, xi0=0.3, n_list=(32,), k_rule="fixed:5",
-                      m=4, seed=11)
-        R = 10
-        cfgs = {
-            _expansion_chunk: ExperimentConfig(experiment="expansion", model="multiplicative_bm",
-                                               **common),
-            _information_chunk: ExperimentConfig(experiment="information", model="cauchy_scale",
-                                                 **common),
-            _estimator_chunk: ExperimentConfig(experiment="estimator", model="multiplicative_bm",
-                                               **common),
-            _coupling_chunk: ExperimentConfig(experiment="coupling", model="sine_scale", **common),
-            _tails_chunk: ExperimentConfig(experiment="tails", model="sine_scale", **common),
-        }
-        calls = [(fn, (cfg, 32, 1 if fn is _tails_chunk else 5, (1, 0), 2, 2 + R))
-                 for fn, cfg in cfgs.items()]
-        chi2 = ExperimentConfig(experiment="chi2", replications=9 * _CHI2_BLOCK + 100, seed=11)
-        calls.append((_chi2_chunk, (chi2, 0, 5, (4, 0), 0, 10)))
-        return calls
-
     @pytest.mark.parametrize("pieces", [2, 3, 8, "rows"])
-    def test_every_worker_is_free_of_the_split(self, pieces):
-        for fn, args in self._worker_args():
-            rows = args[5] - args[4]
-            count = rows if pieces == "rows" else pieces
-            bounds = [round(i * rows / count) for i in range(count + 1)]
-            split = list(zip(bounds[:-1], bounds[1:]))
-            assert len(split) == count and all(p1 > p0 for p0, p1 in split)
-            _assert_same(_concatenated(fn, args, split), fn(args), f"{fn.__name__} {pieces}")
+    def test_chi2_is_free_of_the_split(self, pieces):
+        # Its rows are blocks of _CHI2_BLOCK replications, the last one short.
+        cfg = ExperimentConfig(experiment="chi2", replications=9 * _CHI2_BLOCK + 100, seed=11)
+        args = (cfg, 0, 0, (4, 0), 0, 10)
+        count = 10 if pieces == "rows" else pieces
+        bounds = [round(i * 10 / count) for i in range(count + 1)]
+        split = list(zip(bounds[:-1], bounds[1:]))
+        assert len(split) == count and all(p1 > p0 for p0, p1 in split)
+        _assert_same(_concatenated(_chi2_chunk, args, split), _chi2_chunk(args), str(pieces))
 
     def test_ranges_take_no_worker_count(self):
         assert "workers" not in inspect.signature(_path_chunk_args).parameters
@@ -261,8 +244,9 @@ class TestChunkPartition:
         # (cfg, k, args) for every grid of the default suite.
         for cfg in default_verify_configs():
             for i, n in enumerate(cfg.n_list):
-                k = ({"chi2": cfg.cov_dim - 1, "tails": 1}.get(cfg.experiment)
-                     or resolve_k(cfg.k_rule, n))
+                k = {"chi2": 0, "tails": 1}.get(cfg.experiment)
+                if k is None:
+                    k = resolve_k(cfg.k_rule, n)
                 yield cfg, k, _path_chunk_args(cfg, n, k, i)
 
     def test_one_chunking_rule(self):
@@ -310,12 +294,12 @@ class TestChunkPartition:
         # default run's 98 blocks (the last one short) go in two halves, and
         # its CSV is unchanged when the blocks are split otherwise.
         cfg = ExperimentConfig(experiment="chi2", replications=100_000, cov_dim=6, seed=3)
-        assert [a[4:] for a in _path_chunk_args(cfg, 0, 5, 0)] == [(0, 49), (49, 98)]
+        assert [a[4:] for a in _path_chunk_args(cfg, 0, 0, 0)] == [(0, 49), (49, 98)]
         small = dataclasses.replace(cfg, replications=5 * _CHI2_BLOCK + 100)
         expect = run_chi2_lemma(small).to_csv_text()
         for pieces in (1, 3, 6):
             monkeypatch.setattr(experiments, "_PIECES", pieces)
-            assert len(_path_chunk_args(small, 0, 5, 0)) == pieces
+            assert len(_path_chunk_args(small, 0, 0, 0)) == pieces
             assert run_chi2_lemma(small).to_csv_text() == expect, pieces
 
     @pytest.mark.parametrize("model", ["multiplicative_bm", "sine_scale", "cauchy_scale"])
